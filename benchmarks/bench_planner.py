@@ -91,7 +91,7 @@ def _misestimated_maintainer(database, config, frozen: bool):
         os.environ.pop(REPLAN_RATIO_ENV, None)
     try:
         maintainer = SelfMaintainer(
-            product_sales_view(config.start_year), database, planner="cost"
+            product_sales_view(config.start_year), database
         )
     finally:
         if previous is None:
@@ -137,7 +137,7 @@ def run_shared_subplans(config, transactions: int) -> dict:
 
     # Warehouse path: one cost-mode warehouse, explicit selection.
     warehouse_db = build_retail_database(config)
-    warehouse = Warehouse(warehouse_db, list(views), planner="cost")
+    warehouse = Warehouse(warehouse_db, list(views))
     stream = make_stream(warehouse_db, "mixed", transactions=transactions)
     admitted = rejected = 0
     for transaction in stream:
@@ -158,7 +158,7 @@ def run_shared_subplans(config, transactions: int) -> dict:
 
     # Standalone path: the same two views with no cross-view sharing.
     standalone_db = build_retail_database(config)
-    standalone = [SelfMaintainer(v, standalone_db, planner="cost") for v in views]
+    standalone = [SelfMaintainer(v, standalone_db) for v in views]
     for transaction in make_stream(
         standalone_db, "mixed", transactions=transactions
     ):

@@ -5,9 +5,6 @@ rows/second is hardware-bound and useless across CI machines, so each
 benchmark declares a machine-invariant *ratio* measured within one run
 on one machine, and the gate compares that:
 
-* ``bench_hotpath_maintenance.py`` → ``BENCH_hotpath.json``, gated on
-  ``speedup`` (indexed-over-naive throughput), which the plan layer
-  must not erode;
 * ``bench_backends.py`` → ``BENCH_backends.json``, gated on
   ``relative_throughput`` (SQLite-over-memory throughput), which the
   SQL generation + staging overhead must not erode — and, with
@@ -34,14 +31,16 @@ on one machine, and the gate compares that:
   (``read_p99_budget_ms``), generous enough for a single-core CI host.
 
 The baseline file and metric are picked from the fresh report's
-``benchmark`` name; ``--baseline``/``--metric`` override.
+``benchmark`` name, which must be one of the above (a report without
+one is an error); ``--baseline``/``--metric`` override.
 
 Usage::
 
-    python benchmarks/bench_hotpath_maintenance.py \
-        --scale small --transactions 40 --out /tmp/BENCH_smoke.json
-    python benchmarks/check_bench_regression.py /tmp/BENCH_smoke.json \
-        [--baseline BENCH_hotpath.json] [--metric speedup] \
+    python benchmarks/bench_planner.py \
+        --scale small --out /tmp/BENCH_planner_smoke.json
+    python benchmarks/check_bench_regression.py \
+        /tmp/BENCH_planner_smoke.json \
+        [--baseline BENCH_planner.json] [--metric work_reduction] \
         [--scale small] [--tolerance 0.25]
 
 Exit status 1 (with a per-stream report) if any stream's metric falls
@@ -63,14 +62,11 @@ _REPO = Path(__file__).resolve().parent.parent
 #: benchmark name (the report's ``benchmark`` key) → committed baseline
 #: and the machine-invariant ratio field it gates on.
 BENCHMARKS = {
-    "hotpath_maintenance": (_REPO / "BENCH_hotpath.json", "speedup"),
     "backend_comparison": (_REPO / "BENCH_backends.json", "relative_throughput"),
     "sharded_scaling": (_REPO / "BENCH_sharded.json", "projected_speedup"),
     "serving_load": (_REPO / "BENCH_serving.json", "consistent_fraction"),
     "planner_adaptivity": (_REPO / "BENCH_planner.json", "work_reduction"),
 }
-
-DEFAULT_BASELINE = BENCHMARKS["hotpath_maintenance"][0]
 
 #: Histogram summaries every stream record must carry (and the summary
 #: keys inside each), since the bench promises distribution reporting.
@@ -104,7 +100,7 @@ def compare(
     fresh: dict,
     scale: str,
     tolerance: float,
-    metric: str = "speedup",
+    metric: str,
 ) -> list[str]:
     """Human-readable failures; empty when the gate passes."""
     try:
@@ -266,10 +262,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     fresh = json.loads(Path(args.fresh).read_text())
-    default_baseline, default_metric = BENCHMARKS.get(
-        fresh.get("benchmark", "hotpath_maintenance"),
-        BENCHMARKS["hotpath_maintenance"],
-    )
+    name = fresh.get("benchmark")
+    if name not in BENCHMARKS:
+        parser.error(
+            f"{args.fresh}: 'benchmark' is {name!r}, expected one of "
+            f"{', '.join(sorted(BENCHMARKS))}"
+        )
+    default_baseline, default_metric = BENCHMARKS[name]
     baseline_path = Path(args.baseline) if args.baseline else default_baseline
     metric = args.metric or default_metric
     baseline = json.loads(baseline_path.read_text())

@@ -5,8 +5,8 @@ streams against maintainers over identically-built retail warehouses;
 this module owns that common machinery — the scale configurations, the
 benchmark view, the stream generator, the replay loop, and the
 equivalence and histogram helpers — so the per-benchmark files only
-differ in *what* they compare (hot path vs legacy, memory vs SQLite,
-1 shard vs N).
+differ in *what* they compare (memory vs SQLite vs columnar, 1 shard
+vs N, adaptive vs frozen planning).
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def make_stream(
 
     ``insert_heavy`` is ~80% insertions, ``delete_heavy`` ~80% deletions
     of live rows, and ``mixed`` alternates both and adds churn pairs —
-    live rows deleted and re-inserted within one transaction, which the
-    hot path coalesces away and the legacy loop propagates twice.
+    live rows deleted and re-inserted within one transaction, which
+    delta coalescing cancels before maintenance.
 
     ``hot_key_fraction`` skews fresh insertions: that fraction of new
     rows lands on one fixed ``(time, product)`` combination — i.e. one

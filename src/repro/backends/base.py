@@ -68,7 +68,6 @@ class Backend:
         aux_set,
         namespace: str = "",
         append_only: bool = False,
-        hotpath: bool = True,
     ) -> None:
         """Called once per maintained view, *before* any
         :meth:`make_materialization` for it: backends that need
@@ -76,11 +75,14 @@ class Backend:
         routing, derived from the join graph) hook in here.  The default
         is a no-op."""
 
-    def make_materialization(self, aux, use_indexes=True, namespace=""):
+    def make_materialization(self, aux, namespace="", **_ignored):
         """A live materialization of auxiliary view ``aux`` on this
         backend (the object :class:`~repro.core.maintenance.SelfMaintainer`
         loads, probes, and applies deltas to).  ``namespace`` scopes the
-        backing storage per maintained view."""
+        backing storage per maintained view.  Other keyword options are
+        accepted and ignored: every materialization probes maintained
+        indexes, and callers still passing the retired index switch
+        (the benchmark's layer pass) keep working."""
         raise NotImplementedError
 
     def run_plan(self, node, ctx: ExecutionContext):
@@ -162,10 +164,10 @@ class MemoryBackend(Backend):
 
     name = "memory"
 
-    def make_materialization(self, aux, use_indexes=True, namespace=""):
+    def make_materialization(self, aux, namespace="", **_ignored):
         from repro.core.maintenance import make_materialization
 
-        return make_materialization(aux, use_indexes=use_indexes)
+        return make_materialization(aux)
 
     def run_plan(self, node, ctx: ExecutionContext):
         return node.run(ctx)

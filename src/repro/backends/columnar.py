@@ -72,8 +72,8 @@ _MISS = object()
 class _ColumnarStore(AuxMaterialization):
     """Shared column-store machinery of both materialization kinds."""
 
-    def __init__(self, aux, use_indexes: bool = True):
-        super().__init__(aux, use_indexes)
+    def __init__(self, aux):
+        super().__init__(aux)
         self.store = ColumnStore(self.schema)
         #: column position -> {value -> set(rids)}; built on first probe,
         #: maintained incrementally afterwards.
@@ -145,7 +145,7 @@ class _ColumnarStore(AuxMaterialization):
                 if not bucket:
                     del index[value]
 
-    def _live_key_view(self, column: str):
+    def key_values(self, column: str):
         return self.rid_index(self.schema.index_of(column)).keys()
 
     def rows_matching(self, column: str, values: set) -> list[tuple]:
@@ -172,14 +172,12 @@ class _ColumnarStore(AuxMaterialization):
         self._cache = None
         if self._decode_maps:
             self._decode_maps.clear()
-        self._invalidate_keys()
 
     def _drop_derived_state(self) -> None:
         self._cache = None
         self._rid_indexes.clear()
         if self._decode_maps:
             self._decode_maps.clear()
-        self._invalidate_keys()
 
     def end_undo(self) -> None:
         self._undo = None
@@ -197,8 +195,8 @@ class ColumnarProjectionStore(_ColumnarStore):
     the row engine's :class:`~repro.engine.rowindex.RowIndex`.
     """
 
-    def __init__(self, aux, use_indexes: bool = True):
-        super().__init__(aux, use_indexes)
+    def __init__(self, aux):
+        super().__init__(aux)
         self._project = make_tuple_extractor(
             tuple(aux.base_schema.index_of(name) for name in aux.plan.pinned)
         )
@@ -321,8 +319,6 @@ class ColumnarProjectionStore(_ColumnarStore):
 
     def begin_undo(self, log: UndoLog) -> None:
         self._undo = log
-        # Legacy-mode key caches are derived state; rollback drops them.
-        log.record(self._invalidate_keys)
 
 
 class ColumnarCompressedStore(_ColumnarStore):
@@ -337,8 +333,8 @@ class ColumnarCompressedStore(_ColumnarStore):
     identity (a vanished group re-appears at a fresh, recycled rid).
     """
 
-    def __init__(self, aux, use_indexes: bool = True):
-        super().__init__(aux, use_indexes)
+    def __init__(self, aux):
+        super().__init__(aux)
         plan = aux.plan
         base = aux.base_schema
         self._pin_indexes = [base.index_of(name) for name in plan.pinned]
@@ -801,10 +797,10 @@ class ColumnarBackend(Backend):
         #: the id stable, None caches an unfusable shape.
         self._kernels: dict[int, tuple] = {}
 
-    def make_materialization(self, aux, use_indexes=True, namespace=""):
+    def make_materialization(self, aux, namespace="", **_ignored):
         if aux.is_compressed:
-            return ColumnarCompressedStore(aux, use_indexes)
-        return ColumnarProjectionStore(aux, use_indexes)
+            return ColumnarCompressedStore(aux)
+        return ColumnarProjectionStore(aux)
 
     def execute_view_plan(self, plan, database):
         # One-time loads and recomputation carry no delta batch to fuse
@@ -897,7 +893,7 @@ class ColumnarBackend(Backend):
             key_sets = []
             for fk, dep_table, dep_key in _probes:
                 provider = ctx.provider(dep_table)
-                if isinstance(provider, _ColumnarStore) and provider.use_indexes:
+                if isinstance(provider, _ColumnarStore):
                     # Probe the value->rid index dict directly: its keys
                     # are exactly the live key values, and the schema
                     # position lookup is paid once per plan, not per txn.

@@ -277,18 +277,16 @@ class _SerialPartitionedMaterialization:
     merged views, concatenated lazily and cached until the next apply.
     """
 
-    def __init__(self, aux, use_indexes, namespace, backend, routing):
+    def __init__(self, aux, namespace, backend, routing):
         from repro.core.maintenance import make_materialization
 
         self.aux = aux
         self.schema = aux.output_schema()
-        self.use_indexes = use_indexes
         self.namespace = namespace
         self.routing = routing
         self._backend = backend
         self.parts = [
-            make_materialization(aux, use_indexes=use_indexes)
-            for _ in range(backend.n_shards)
+            make_materialization(aux) for _ in range(backend.n_shards)
         ]
         self._cache: Relation | None = None
 
@@ -373,7 +371,7 @@ class _WorkerRuntime:
         from repro.core.maintenance import SelfMaintainer
         from repro.sql import parse_view
 
-        view_sql, catalog_spec, append_only, hotpath = payload
+        view_sql, catalog_spec, append_only = payload
         database = _build_catalog(catalog_spec)
         view = parse_view(view_sql, database)
         self.maintainer = SelfMaintainer(
@@ -381,7 +379,6 @@ class _WorkerRuntime:
             database,
             append_only=append_only,
             initialize=False,
-            hotpath=hotpath,
             backend="memory",
         )
         #: Execution contexts per (table, sign), rebuilt on every
@@ -613,10 +610,9 @@ class _ParallelShardedMaterialization:
     the parent cache drop.
     """
 
-    def __init__(self, backend, aux, use_indexes, namespace, routing):
+    def __init__(self, backend, aux, namespace, routing):
         self.aux = aux
         self.schema = aux.output_schema()
-        self.use_indexes = use_indexes
         self.namespace = namespace
         self.routing = routing
         self._backend = backend
@@ -792,22 +788,16 @@ class ShardedBackend(Backend):
         aux_set,
         namespace: str = "",
         append_only: bool = False,
-        hotpath: bool = True,
     ) -> None:
         namespace = namespace or view.name
         routing = derive_routing(view, graph, aux_set, namespace)
         self._routings[namespace] = routing
         self._combiners[namespace] = _extremum_combiners(view)
         if self.parallel:
-            payload = (
-                view.to_sql(),
-                _catalog_spec(database),
-                append_only,
-                hotpath,
-            )
+            payload = (view.to_sql(), _catalog_spec(database), append_only)
             self._broadcast(("prepare_view", namespace, payload))
 
-    def make_materialization(self, aux, use_indexes=True, namespace=""):
+    def make_materialization(self, aux, namespace="", **_ignored):
         routing = self._routings.get(namespace)
         if routing is None:
             raise BackendError(
@@ -819,15 +809,15 @@ class ShardedBackend(Backend):
         )
         if self.parallel:
             return _ParallelShardedMaterialization(
-                self, aux, use_indexes, namespace, table_routing
+                self, aux, namespace, table_routing
             )
         if table_routing.mode == "partition":
             return _SerialPartitionedMaterialization(
-                aux, use_indexes, namespace, self, table_routing
+                aux, namespace, self, table_routing
             )
         from repro.core.maintenance import make_materialization
 
-        materialization = make_materialization(aux, use_indexes=use_indexes)
+        materialization = make_materialization(aux)
         # One replica shared by the maintainer and every shard context
         # (serial shards run in-process, so replication is free).
         materialization.namespace = namespace

@@ -109,9 +109,8 @@ class _SQLiteMaterialization(AuxMaterialization):
     the data rollback is the backend savepoint.
     """
 
-    def __init__(self, backend: "SQLiteBackend", aux, use_indexes=True,
-                 namespace: str = ""):
-        super().__init__(aux, use_indexes)
+    def __init__(self, backend: "SQLiteBackend", aux, namespace: str = ""):
+        super().__init__(aux)
         self._backend = backend
         self._conn = backend._conn
         prefix = f"aux_{_ident(namespace)}" if namespace else "aux"
@@ -145,7 +144,6 @@ class _SQLiteMaterialization(AuxMaterialization):
 
     def _dirty(self) -> None:
         self._cache = None
-        self._invalidate_keys()
 
     def _fetch_all(self) -> list[tuple]:
         cursor = self._conn.execute(
@@ -161,8 +159,6 @@ class _SQLiteMaterialization(AuxMaterialization):
         # DDL round trip entirely; a rollback conservatively forgets
         # readiness (it may have undone the CREATE), and re-creating
         # this materialization's table drops its indexes with it.
-        if not self.use_indexes:
-            return
         name = f"idx_{self.table_name}_{_ident(column)}"
         ready = self._backend._ready_indexes
         if name in ready:
@@ -194,13 +190,13 @@ class _SQLiteMaterialization(AuxMaterialization):
     def begin_undo(self, log) -> None:
         self._undo = log
         # Data restore is the backend savepoint; what must roll back
-        # here is only the derived Python state (fetch cache, key sets).
+        # here is only the derived Python state (the fetch cache).
         log.record(self._dirty)
 
     def end_undo(self) -> None:
         self._undo = None
 
-    def _live_key_view(self, column: str):
+    def key_values(self, column: str):
         name = self._column(column)
         self._ensure_index(name)
         decode = bool if (
@@ -242,8 +238,8 @@ class _SQLiteMaterialization(AuxMaterialization):
 class SQLiteProjectionMaterialization(_SQLiteMaterialization):
     """A degenerate (PSJ) auxiliary view: projected rows, bag semantics."""
 
-    def __init__(self, backend, aux, use_indexes=True, namespace=""):
-        super().__init__(backend, aux, use_indexes, namespace)
+    def __init__(self, backend, aux, namespace=""):
+        super().__init__(backend, aux, namespace)
         self._project = make_tuple_extractor(
             tuple(aux.base_schema.index_of(name) for name in aux.plan.pinned)
         )
@@ -285,8 +281,8 @@ class SQLiteCompressedMaterialization(_SQLiteMaterialization):
     in-memory dictionary fold exactly.
     """
 
-    def __init__(self, backend, aux, use_indexes=True, namespace=""):
-        super().__init__(backend, aux, use_indexes, namespace)
+    def __init__(self, backend, aux, namespace=""):
+        super().__init__(backend, aux, namespace)
         plan = aux.plan
         base = aux.base_schema
         self._pin_indexes = [base.index_of(name) for name in plan.pinned]
@@ -475,14 +471,10 @@ class SQLiteBackend(Backend):
     # Materializations.
     # ------------------------------------------------------------------
 
-    def make_materialization(self, aux, use_indexes=True, namespace=""):
+    def make_materialization(self, aux, namespace="", **_ignored):
         if aux.is_compressed:
-            return SQLiteCompressedMaterialization(
-                self, aux, use_indexes, namespace
-            )
-        return SQLiteProjectionMaterialization(
-            self, aux, use_indexes, namespace
-        )
+            return SQLiteCompressedMaterialization(self, aux, namespace)
+        return SQLiteProjectionMaterialization(self, aux, namespace)
 
     # ------------------------------------------------------------------
     # Plan execution.

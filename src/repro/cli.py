@@ -145,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--seed", type=int, default=0)
             sub.add_argument("--rows-per-table", type=int, default=24)
             _add_backend_flag(sub)
-            _add_planner_flag(sub)
         sub.set_defaults(handler=handler)
 
     for name, handler, description in (
@@ -223,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "proves the doctor notices)",
             )
         _add_backend_flag(sub)
-        _add_planner_flag(sub)
         sub.set_defaults(handler=handler)
 
     top = subparsers.add_parser(
@@ -298,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(1 = all, 0 = tracing off; errors are always retained)",
     )
     _add_backend_flag(serve)
-    _add_planner_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     share = subparsers.add_parser(
@@ -356,36 +353,6 @@ def _backend_spec(value: str) -> str:
     try:
         resolve_backend_name(value)
     except BackendError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _add_planner_flag(sub) -> None:
-    from repro.plan.cost import PLANNER_NAMES
-
-    sub.add_argument(
-        "--planner",
-        metavar="MODE",
-        type=_planner_spec,
-        default=None,
-        help="maintenance planner mode: one of "
-        f"{', '.join(PLANNER_NAMES)} (cost picks join order, probe "
-        "direction, and restriction from live cardinality statistics "
-        "and re-plans on misestimates; static keeps the deterministic "
-        "policy); default: the REPRO_PLANNER environment variable, "
-        "else cost",
-    )
-
-
-def _planner_spec(value: str) -> str:
-    """Validate a ``--planner`` spec early, with an argparse-style error."""
-    import argparse
-
-    from repro.plan.cost import PlannerError, resolve_planner_name
-
-    try:
-        resolve_planner_name(value)
-    except PlannerError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
@@ -490,14 +457,7 @@ def _cmd_explain(args) -> int:
     if args.plan:
         from repro.plan.explain import explain_view_plans
 
-        print(
-            explain_view_plans(
-                view,
-                database,
-                backend=args.backend,
-                planner=getattr(args, "planner", None),
-            )
-        )
+        print(explain_view_plans(view, database, backend=args.backend))
         return 0
     from repro.core.explain import explain_derivation
 
@@ -547,7 +507,6 @@ def _run_stream(database, view, args, tracer=None):
         [view],
         tracer=tracer,
         backend=getattr(args, "backend", None),
-        planner=getattr(args, "planner", None),
     )
     generator = TransactionGenerator(
         database,
@@ -705,7 +664,6 @@ def _cmd_serve(args) -> int:
         [view],
         tracer=tracer,
         backend=args.backend,
-        planner=getattr(args, "planner", None),
     )
     server = WarehouseServer(
         warehouse,

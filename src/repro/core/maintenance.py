@@ -58,20 +58,13 @@ from repro.perf import (
     TXN_ROWS_PER_SEC,
     PerfStats,
 )
-from repro.plan.cost import (
-    PlannerMode,
-    StatsCatalog,
-    make_planner_mode,
-    q_error,
-    replan_ratio_from_env,
-)
+from repro.plan.cost import StatsCatalog, q_error, replan_ratio_from_env
 from repro.plan.executor import ExecutionContext
 from repro.plan.maintenance import (
     DeltaPlans,
     MaintenancePlanner,
     transfer_runtime_stats,
 )
-from repro.plan.planner import PlanPolicy
 
 
 class SelfMaintenanceError(Exception):
@@ -81,19 +74,15 @@ class SelfMaintenanceError(Exception):
 class AuxMaterialization:
     """Live contents of one auxiliary view.
 
-    With ``use_indexes`` (the default) every probe — join-reduction key
-    lookups and ``rows_matching`` restrictions — is served from hash
-    indexes that are maintained *incrementally* as deltas fold in, so
-    per-transaction cost follows the delta, not the auxiliary view.
-    ``use_indexes=False`` keeps the seed's invalidate-and-rebuild key
-    cache; the hot-path benchmark uses it as the "before" measurement.
+    Every probe — join-reduction key lookups and ``rows_matching``
+    restrictions — is served from hash indexes that are maintained
+    *incrementally* as deltas fold in, so per-transaction cost follows
+    the delta, not the auxiliary view.
     """
 
-    def __init__(self, aux: AuxiliaryView, use_indexes: bool = True):
+    def __init__(self, aux: AuxiliaryView):
         self.aux = aux
         self.schema = aux.output_schema()
-        self.use_indexes = use_indexes
-        self._key_cache: dict[str, set] = {}  # legacy (use_indexes=False)
 
     def load(self, relation: Relation) -> None:
         raise NotImplementedError
@@ -118,24 +107,9 @@ class AuxMaterialization:
 
         Join reductions probe the same (key) column on every delta of a
         referencing table; the maintained index makes the probe O(1) with
-        no rebuild ever.  In legacy mode the set is rebuilt whenever the
-        materialization changed since the last probe.
+        no rebuild ever.
         """
-        if self.use_indexes:
-            return self._live_key_view(column)
-        cached = self._key_cache.get(column)
-        if cached is None:
-            cached = self._key_cache[column] = set(
-                self.relation().column(column)
-            )
-        return cached
-
-    def _live_key_view(self, column: str):
-        """Distinct values of ``column`` as a live view over the index."""
         raise NotImplementedError
-
-    def _invalidate_keys(self) -> None:
-        self._key_cache.clear()
 
     def rows_matching(self, column: str, values: set) -> list[tuple]:
         """Output rows whose ``column`` value is in ``values``.
@@ -161,8 +135,8 @@ class ProjectionMaterialization(AuxMaterialization):
     insert/delete keeps them in step without rebuilds.
     """
 
-    def __init__(self, aux: AuxiliaryView, use_indexes: bool = True):
-        super().__init__(aux, use_indexes)
+    def __init__(self, aux: AuxiliaryView):
+        super().__init__(aux)
         self._project = make_tuple_extractor(
             tuple(aux.base_schema.index_of(name) for name in aux.plan.pinned)
         )
@@ -174,7 +148,6 @@ class ProjectionMaterialization(AuxMaterialization):
                 f"loaded relation does not match {self.aux.name} schema"
             )
         self._relation = relation.copy()
-        self._invalidate_keys()
 
     def relation(self) -> Relation:
         return self._relation
@@ -185,18 +158,14 @@ class ProjectionMaterialization(AuxMaterialization):
             self._relation.insert_all(projected)
         else:
             self._relation.delete_all(projected)
-        self._invalidate_keys()
 
     def begin_undo(self, log: UndoLog) -> None:
         self._relation.begin_undo(log)
-        # Legacy-mode key caches are derived state; a rollback simply
-        # drops them and the next probe rebuilds from the restored bag.
-        log.record(self._invalidate_keys)
 
     def end_undo(self) -> None:
         self._relation.end_undo()
 
-    def _live_key_view(self, column: str):
+    def key_values(self, column: str):
         return self._relation.index_on(column).keys()
 
     def rows_matching(self, column: str, values: set) -> list[tuple]:
@@ -212,8 +181,8 @@ class CompressedMaterialization(AuxMaterialization):
     reduced detail data.
     """
 
-    def __init__(self, aux: AuxiliaryView, use_indexes: bool = True):
-        super().__init__(aux, use_indexes)
+    def __init__(self, aux: AuxiliaryView):
+        super().__init__(aux)
         plan = aux.plan
         self._pin_indexes = [
             aux.base_schema.index_of(name) for name in plan.pinned
@@ -246,7 +215,6 @@ class CompressedMaterialization(AuxMaterialization):
             row[:width]: list(row[width:]) for row in relation
         }
         self._cache = None
-        self._invalidate_keys()
         self._hash_indexes.clear()
 
     def relation(self) -> Relation:
@@ -266,7 +234,6 @@ class CompressedMaterialization(AuxMaterialization):
                 "and cannot absorb deletions"
             )
         self._cache = None
-        self._invalidate_keys()
         n_sums = len(self._sum_indexes)
         n_extrema = len(self._min_indexes) + len(self._max_indexes)
         count_slot = n_sums + n_extrema
@@ -315,8 +282,8 @@ class CompressedMaterialization(AuxMaterialization):
         self._undo = log
         self._undo_saved = set()
         # Recorded first, so LIFO runs it after every group restore:
-        # derived state (relation cache, group-key hash indexes, legacy
-        # key cache) is dropped wholesale and rebuilt lazily on next use.
+        # derived state (relation cache, group-key hash indexes) is
+        # dropped wholesale and rebuilt lazily on next use.
         log.record(self._drop_derived_state)
 
     def end_undo(self) -> None:
@@ -333,7 +300,6 @@ class CompressedMaterialization(AuxMaterialization):
     def _drop_derived_state(self) -> None:
         self._cache = None
         self._hash_indexes.clear()
-        self._invalidate_keys()
 
     def _index_group(self, key: tuple, add: bool) -> None:
         for column, index in self._hash_indexes.items():
@@ -362,7 +328,7 @@ class CompressedMaterialization(AuxMaterialization):
                 index.setdefault(key[slot], set()).add(key)
         return index
 
-    def _live_key_view(self, column: str):
+    def key_values(self, column: str):
         return self._group_index(column).keys()
 
     def rows_matching(self, column: str, values: set) -> list[tuple]:
@@ -374,12 +340,10 @@ class CompressedMaterialization(AuxMaterialization):
         return rows
 
 
-def make_materialization(
-    aux: AuxiliaryView, use_indexes: bool = True
-) -> AuxMaterialization:
+def make_materialization(aux: AuxiliaryView) -> AuxMaterialization:
     if aux.is_compressed:
-        return CompressedMaterialization(aux, use_indexes)
-    return ProjectionMaterialization(aux, use_indexes)
+        return CompressedMaterialization(aux)
+    return ProjectionMaterialization(aux)
 
 
 def processing_order(graph: ExtendedJoinGraph) -> tuple[str, ...]:
@@ -460,10 +424,8 @@ class SelfMaintainer:
         graph: ExtendedJoinGraph | None = None,
         append_only: bool = False,
         initialize: bool = True,
-        hotpath: bool = True,
         tracer: Tracer | None = None,
         backend: Backend | str | None = None,
-        planner: "PlannerMode | str | None" = None,
         events: "EventLog | None" = None,
     ):
         """``append_only`` maintains the view as *old detail data*
@@ -472,13 +434,6 @@ class SelfMaintainer:
         ``initialize=False`` skips the one-time base-table load; the
         caller must then populate the maintainer via
         :meth:`load_state` (warehouse restart from a checkpoint).
-        ``hotpath`` selects the planner policy: ``True`` plans with the
-        maintained hash indexes, delta coalescing, and full join-tree
-        restriction (:attr:`PlanPolicy.INDEXED`); ``False`` plans the
-        seed maintenance pipeline (:attr:`PlanPolicy.NAIVE` — rebuilt
-        key caches, ancestor-only restriction, no coalescing, no
-        cross-view sharing).  Results are identical either way — the
-        policy exists so the hot-path benchmark can measure the gap.
         ``tracer`` optionally installs a :class:`~repro.obs.trace.Tracer`
         that samples transactions into structured span trees (root span
         per :meth:`apply`, phase spans, nested plan-node spans); with the
@@ -487,15 +442,9 @@ class SelfMaintainer:
         running the compiled plans: a :class:`~repro.backends.Backend`
         instance, a name (``"memory"``, ``"sqlite"``, ``"sqlite:<path>"``),
         or ``None`` to consult the ``REPRO_BACKEND`` environment
-        variable (default memory).
-        ``planner`` selects how delta plans are chosen: ``"cost"``
-        (the default — join order, probe direction, and restriction
-        decided per compile from live cardinality statistics, with
-        adaptive re-planning on misestimates) or ``"static"`` (the
-        historical deterministic policy); ``None`` consults
-        ``REPRO_PLANNER``.  The ``NAIVE`` policy always plans
-        statically — without maintained indexes there are no free
-        statistics to plan from.
+        variable (default memory).  Delta plans are chosen per compile
+        from live cardinality statistics (join order, probe direction,
+        restriction), with adaptive re-planning on misestimates.
         ``events`` optionally attaches a structured
         :class:`~repro.obs.log.EventLog`: the maintainer narrates
         transaction begin/commit/rollback and planner re-plans into it,
@@ -511,11 +460,6 @@ class SelfMaintainer:
         self.perf = PerfStats()
         self.tracer = tracer
         self.events = events
-        self.policy = PlanPolicy.INDEXED if hotpath else PlanPolicy.NAIVE
-        mode = make_planner_mode(planner)
-        if self.policy is not PlanPolicy.INDEXED:
-            mode = PlannerMode.STATIC
-        self.planner_mode = mode
         self._replan_ratio = replan_ratio_from_env()
         self.backend.prepare_view(
             view,
@@ -524,11 +468,10 @@ class SelfMaintainer:
             self.aux_set,
             namespace=view.name,
             append_only=append_only,
-            hotpath=hotpath,
         )
         self._materializations: dict[str, AuxMaterialization] = {
             aux.table: self.backend.make_materialization(
-                aux, use_indexes=hotpath, namespace=view.name
+                aux, namespace=view.name
             )
             for aux in self.aux_set
         }
@@ -546,10 +489,8 @@ class SelfMaintainer:
             self.graph,
             self.aux_set,
             self.reconstructor,
-            self.policy,
             self._order,
-            mode=self.planner_mode,
-            catalog=self._stats,
+            self._stats,
         )
         self._delta_plans: dict[tuple[str, int], DeltaPlans] = {}
         self._retired_plans: dict[tuple[str, int], DeltaPlans] = {}
@@ -869,9 +810,7 @@ class SelfMaintainer:
         subplan results, keyed by logical plan node.  A warehouse passes
         one dict to every maintainer it drives for a transaction, so
         structurally identical subplans (the coalesced, locally-reduced
-        delta of a table two views both read) are computed once.  Only
-        the ``INDEXED`` policy shares: naive maintainers skip
-        coalescing, so their delta bindings differ per maintainer.
+        delta of a table two views both read) are computed once.
 
         When a :attr:`tracer` is installed and samples this transaction,
         the whole call is recorded as a span tree; either way the
@@ -882,11 +821,7 @@ class SelfMaintainer:
         events = self.events
         trace = None
         if tracer is not None:
-            trace = tracer.begin(
-                f"txn:{self.view.name}",
-                view=self.view.name,
-                policy=self.policy.name,
-            )
+            trace = tracer.begin(f"txn:{self.view.name}", view=self.view.name)
         ctx = None if trace is None else trace.context()
         rows_in = _delta_rows(transaction)
         if events is not None:
@@ -940,8 +875,6 @@ class SelfMaintainer:
         avoids a second pass over the transaction)."""
         perf = self.perf
         perf.count("transactions")
-        if self.policy is not PlanPolicy.INDEXED:
-            shared = None
         if self.append_only:
             offenders = [
                 delta.table
@@ -953,18 +886,15 @@ class SelfMaintainer:
                     f"append-only detail data received deletions on "
                     f"{offenders!r}"
                 )
-        if self.policy is PlanPolicy.INDEXED:
-            before = rows_in if rows_in is not None else _delta_rows(transaction)
-            with _phase_span(trace, "coalesce") as span, perf.timer("coalesce"):
-                coalesced = transaction.coalesced()
-            if span is not None:
-                span.rows_in = before
-                span.rows_out = _delta_rows(coalesced)
-            if coalesced is not transaction:
-                perf.count(
-                    "rows_coalesced_away", before - _delta_rows(coalesced)
-                )
-                transaction = coalesced
+        before = rows_in if rows_in is not None else _delta_rows(transaction)
+        with _phase_span(trace, "coalesce") as span, perf.timer("coalesce"):
+            coalesced = transaction.coalesced()
+        if span is not None:
+            span.rows_in = before
+            span.rows_out = _delta_rows(coalesced)
+        if coalesced is not transaction:
+            perf.count("rows_coalesced_away", before - _delta_rows(coalesced))
+            transaction = coalesced
         with _phase_span(trace, "validate") as span, perf.timer("validate"):
             validated = self._validate_transaction(transaction)
         if span is not None:
@@ -1353,16 +1283,12 @@ class SelfMaintainer:
         drop the cached pipeline so the *next* transaction recompiles
         against fresh statistics (this one finishes on the old plan —
         both are correct, only cost differs)."""
-        if self.planner_mode is not PlannerMode.COST:
-            return
         estimates = plans.stage_estimates()
         worst = 1.0
         for estimated, actual in (
             (estimates["local"], local_rows),
             (estimates["reduce"], reduce_rows),
         ):
-            if estimated is None:
-                continue
             error = q_error(estimated, actual)
             self.perf.observe(PLANNER_QERROR, error)
             worst = max(worst, error)
@@ -1410,7 +1336,7 @@ class SelfMaintainer:
     ) -> None:
         """Reduce and propagate one table's (pre-validated) delta rows.
 
-        The work runs through the static plans compiled by
+        The work runs through the plans compiled by
         :class:`~repro.plan.maintenance.MaintenancePlanner`; one
         execution context memoizes shared prefixes (the reduced delta
         feeds both the propagation join and the auxiliary fold), and the

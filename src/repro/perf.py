@@ -21,9 +21,9 @@ the ``timer`` hook the fault-injection harness overrides to define
 transaction phase boundaries.
 
 Snapshots are plain dictionaries, surfaced through
-``Warehouse.storage_report``/``Warehouse.perf_report`` and recorded by
-``benchmarks/bench_hotpath_maintenance.py`` so perf regressions show up
-as numbers, not vibes.
+``Warehouse.storage_report``/``Warehouse.perf_report``; the benchmark
+(``bench/run.py``) reads the phase timers as its
+``core.maintenance.phase.*`` layer metrics.
 """
 
 from __future__ import annotations

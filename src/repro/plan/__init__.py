@@ -5,7 +5,7 @@ recomputation (:func:`~repro.plan.planner.evaluate_view`), auxiliary
 reconstruction (:class:`~repro.core.rewrite.Reconstructor` builds its
 join plans here), and incremental maintenance
 (:class:`~repro.plan.maintenance.MaintenancePlanner` compiles one
-static delta plan per (table, sign) and policy).
+cost-chosen delta plan per (table, sign)).
 
 ``repro.plan.explain`` renders chosen plans with their annotations
 (pushed selections, pruned projections, index-backed reductions,
@@ -45,7 +45,6 @@ from repro.plan.physical import (
 )
 from repro.plan.planner import (
     JoinGraphDisconnected,
-    PlanPolicy,
     ViewPlan,
     canonical_view_plan,
     evaluate_view,
@@ -81,7 +80,6 @@ __all__ = [
     "PhysicalNode",
     "PlanError",
     "PlanExecutionError",
-    "PlanPolicy",
     "Project",
     "ProjectNode",
     "Scan",

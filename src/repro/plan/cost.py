@@ -25,25 +25,15 @@ maintenance planner uses (documented in DESIGN.md):
   cardinality of the same ``(table, sign)`` shape from the plan's
   previous life (``DEFAULT_DELTA_ROWS`` before any observation).
 
-``PlannerMode`` selects between ``cost`` (the default: join order,
-probe direction, and per-node restriction chosen by these estimates,
-with adaptive re-planning when observations diverge) and ``static``
-(the historical deterministic policy), mirroring how ``REPRO_BACKEND``
-selects execution backends.
+Every maintenance plan is chosen by these estimates (join order, probe
+direction, and per-node restriction), with adaptive re-planning when
+observations diverge; there is no other planner.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 from dataclasses import dataclass, field
-
-#: Environment variable selecting the planner mode (parallel to
-#: ``REPRO_BACKEND``); also settable per CLI invocation via --planner.
-PLANNER_ENV = "REPRO_PLANNER"
-
-#: Planner modes selectable by name.
-PLANNER_NAMES = ("cost", "static")
 
 #: Environment variable holding the adaptive re-plan threshold: a delta
 #: plan is invalidated and recompiled when the q-error between a stage's
@@ -67,41 +57,13 @@ DEFAULT_DELTA_ROWS = 32.0
 
 
 class PlannerError(Exception):
-    """Raised for unknown planner specs."""
+    """Raised for an invalid planner configuration."""
 
 
-class PlannerMode(enum.Enum):
-    """How physical maintenance plans are chosen.
-
-    ``COST`` (the default) picks join order, probe direction, and
-    per-node index-vs-scan choices from :class:`StatsCatalog` estimates
-    and re-plans when observations diverge; ``STATIC`` keeps the
-    deterministic historical policy (the fixed-point join order and the
-    policy-wide INDEXED/NAIVE switch).  Results are identical either
-    way — the cost layer only reorders work that is provably
-    order-insensitive at the bag level.
-    """
-
-    COST = "cost"
-    STATIC = "static"
-
-
-def resolve_planner_name(spec: str | None = None) -> str:
-    """The planner name ``spec`` selects, honoring ``REPRO_PLANNER``."""
-    if spec is None:
-        spec = os.environ.get(PLANNER_ENV) or "cost"
-    if spec not in PLANNER_NAMES:
-        raise PlannerError(
-            f"unknown planner {spec!r} (expected one of {PLANNER_NAMES})"
-        )
-    return spec
-
-
-def make_planner_mode(spec: "str | PlannerMode | None" = None) -> PlannerMode:
-    """Build a :class:`PlannerMode` from a spec or the environment."""
-    if isinstance(spec, PlannerMode):
-        return spec
-    return PlannerMode(resolve_planner_name(spec))
+def resolve_planner_name() -> str:
+    """The maintenance planner's name, for environment stamps: always
+    ``"cost"`` (the only planner)."""
+    return "cost"
 
 
 def replan_ratio_from_env() -> float:
@@ -115,7 +77,7 @@ def replan_ratio_from_env() -> float:
         raise PlannerError(
             f"{REPLAN_RATIO_ENV}={raw!r} is not a number"
         ) from None
-    if ratio < 1.0:
+    if not ratio >= 1.0:  # also rejects NaN, which compares False
         raise PlannerError(f"{REPLAN_RATIO_ENV} must be >= 1.0, got {ratio}")
     return ratio
 
@@ -145,7 +107,7 @@ class StatsCatalog:
 
     Reads are snapshot-cached per planning pass: ``len(provider)`` for
     cardinality and ``len(provider.key_values(column))`` for distinct
-    counts — the latter is O(1) on the indexed path because
+    counts — the latter is O(1) on the in-memory engines because
     ``key_values`` is a live :meth:`RowIndex.keys` view.  The snapshot
     must be dropped whenever the underlying state moves in a way the
     planner didn't drive:

@@ -53,15 +53,14 @@ def shared_key_owners(warehouse) -> dict[LogicalNode, list[str]]:
 
 def make_shared_annotator(
     owners: dict[LogicalNode, list[str]],
-    selected: frozenset | None = None,
+    selected: frozenset,
 ):
     """An annotator for :meth:`PhysicalNode.render` that marks subplans
-    two or more views compute through the shared per-transaction cache.
-
-    With ``selected`` (the warehouse's explicit shared-subplan
-    selection, cost mode) the mark distinguishes subtrees the cost
-    model *chose* to materialize once from shareable candidates it
-    declined (their results are recomputed per view)."""
+    two or more views could compute through the shared per-transaction
+    cache, distinguishing subtrees the cost model *chose* to
+    materialize once (``selected``, the warehouse's explicit
+    shared-subplan selection) from shareable candidates it declined
+    (their results are recomputed per view)."""
 
     def annotator(node) -> str | None:
         if node.share_key is None:
@@ -70,8 +69,6 @@ def make_shared_annotator(
         if not views or len(views) < 2:
             return None
         names = ", ".join(views)
-        if selected is None:
-            return "shared across views: " + names
         if node.share_key in selected:
             return f"shared across views: {names} [cost-selected]"
         return f"shareable across views: {names} [not selected by cost model]"
@@ -174,15 +171,11 @@ def maintainer_plan_report(maintainer, database, annotator=None) -> str:
 
 def warehouse_plan_report(warehouse) -> str:
     """Every registered view's plans, with cross-view shared subplans
-    marked (the report behind ``Warehouse.explain_plans``).  Under the
-    cost planner the marks reflect the warehouse's explicit
-    shared-subplan selection."""
-    from repro.plan.cost import PlannerMode  # lazy: explain sits above
-
-    selected = None
-    if getattr(warehouse, "planner_mode", None) is PlannerMode.COST:
-        selected = warehouse.shared_subplan_selection()
-    annotator = make_shared_annotator(shared_key_owners(warehouse), selected)
+    marked (the report behind ``Warehouse.explain_plans``).  The marks
+    reflect the warehouse's explicit shared-subplan selection."""
+    annotator = make_shared_annotator(
+        shared_key_owners(warehouse), warehouse.shared_subplan_selection()
+    )
     sections = [
         maintainer_plan_report(
             warehouse.maintainer(name), warehouse.database, annotator
@@ -192,18 +185,17 @@ def warehouse_plan_report(warehouse) -> str:
     return "\n\n".join(sections)
 
 
-def explain_view_plans(view, database, backend=None, planner=None) -> str:
+def explain_view_plans(view, database, backend=None) -> str:
     """Plans for one standalone view (``python -m repro explain --plan``).
 
-    Builds an uninitialized maintainer — plans depend only on schemas
-    and the derivation, so no base data is loaded or read.  ``backend``
-    (a spec string or instance) adds that backend's physical line, e.g.
-    the sharded backend's derived routing; ``planner`` selects the
-    maintenance planner mode (cost or static).
+    Builds an uninitialized maintainer — no base data is loaded or
+    read, so the plans are costed against empty statistics.
+    ``backend`` (a spec string or instance) adds that backend's
+    physical line, e.g. the sharded backend's derived routing.
     """
     from repro.core.maintenance import SelfMaintainer  # upward, lazy
 
     maintainer = SelfMaintainer(
-        view, database, initialize=False, backend=backend, planner=planner
+        view, database, initialize=False, backend=backend
     )
     return maintainer_plan_report(maintainer, database)

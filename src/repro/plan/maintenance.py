@@ -1,4 +1,4 @@
-"""Static delta-maintenance plans (one per table, sign, and policy).
+"""Cost-chosen delta-maintenance plans (one per table and sign).
 
 The :class:`MaintenancePlanner` compiles Section 3.2's maintenance
 pipeline for one changed table into three physical plans executed per
@@ -10,36 +10,30 @@ transaction by :class:`~repro.core.maintenance.SelfMaintainer`:
 
 ``reduce``
     a chain of key-probe semijoins against the auxiliary views of the
-    tables the changed table depends on (the paper's join reduction),
-    ordered by the extended join graph's processing order.
+    tables the changed table depends on (the paper's join reduction).
 
 ``propagate``
     the restricted join of the reduced delta with the other auxiliary
     views, folded into per-group contributions by the reconstructor's
-    compiled row program.  Under the ``INDEXED`` policy the whole join
-    tree is semijoin-restricted outward from the delta through the
-    maintained hash indexes; under ``NAIVE`` only the ancestor path is
-    restricted (the seed's legacy behavior).  ``None`` when the root
-    auxiliary view was eliminated and the delta is on a dimension
-    (group rewrites handle those, Section 3.3).
+    compiled row program.  The join tree is semijoin-restricted outward
+    from the delta through the maintained hash indexes.  ``None`` when
+    the root auxiliary view was eliminated and the delta is on a
+    dimension (group rewrites handle those, Section 3.3).
 
-Under the ``STATIC`` planner mode all structural decisions — traversal
-order, which tables get restricted, join order — depend only on static
-schema information, so each plan is built once and reused; the only
-per-transaction inputs are the delta bindings and the live
-materializations in the execution context.  Under ``COST`` (the
-default) the same decisions are taken per compile from a
-:class:`~repro.plan.cost.StatsCatalog` snapshot: semijoin reductions
-are ordered most-selective-first, probe direction flips when the
-dependency's key population is much smaller than the expected delta,
-per-neighbor restriction is skipped when the delta's estimated reach
-already covers the auxiliary view, and the propagation join order is
-cost-greedy.  Every choice is provably bag-identical to the static
-plan; estimates are stamped on the stage roots (``estimated_rows``) so
-the maintainer's feedback loop can compare them with observations and
-trigger a re-plan.  Delta-only subplans (the delta scan and its local
-filter) carry share keys, letting one warehouse transaction share
-their results across the maintainers of all registered views.
+Structural decisions are taken per compile from a
+:class:`~repro.plan.cost.StatsCatalog` snapshot, in the style of
+Mistry et al. (cs/0003006): semijoin reductions are ordered
+most-selective-first (ties keep the extended join graph's processing
+order), probe direction flips when the dependency's key population is
+much smaller than the expected delta, per-neighbor restriction is
+skipped when the delta's estimated reach already covers the auxiliary
+view, and the propagation join order is cost-greedy.  Every choice
+only reorders bag-order-insensitive work; estimates are stamped on the
+stage roots (``estimated_rows``) so the maintainer's feedback loop can
+compare them with observations and trigger a re-plan.  Delta-only
+subplans (the delta scan and its local filter) carry share keys,
+letting one warehouse transaction share their results across the
+maintainers of all registered views.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from dataclasses import dataclass
 from repro.engine.expressions import conjoin
 from repro.engine.schema import Schema
 from repro.obs.stats import collect_node_stats
-from repro.plan.cost import DEFAULT_DELTA_ROWS, PlannerMode, StatsCatalog
+from repro.plan.cost import DEFAULT_DELTA_ROWS, StatsCatalog
 from repro.plan.logical import DeltaScan, PlanError, Select
 from repro.plan.physical import (
     AccumulateNode,
@@ -61,12 +55,7 @@ from repro.plan.physical import (
     NeighborRestrictNode,
     PhysicalNode,
 )
-from repro.plan.planner import (
-    PlanPolicy,
-    cost_join_order,
-    join_order,
-    join_physical,
-)
+from repro.plan.planner import cost_join_order, join_physical
 
 
 @dataclass
@@ -105,8 +94,7 @@ class DeltaPlans:
         return collect_node_stats(self.roots()[0])
 
     def stage_estimates(self) -> dict:
-        """The cost planner's per-stage cardinality estimates (``None``
-        under the static planner, which stamps no estimates)."""
+        """The planner's per-stage cardinality estimates."""
         return {
             "local": self.local.estimated_rows,
             "reduce": self.reduce.estimated_rows,
@@ -142,7 +130,8 @@ def transfer_runtime_stats(old: DeltaPlans, new: DeltaPlans) -> None:
 
 
 class MaintenancePlanner:
-    """Builds :class:`DeltaPlans` from static view/derivation structure.
+    """Builds :class:`DeltaPlans` from view/derivation structure and the
+    live statistics in ``catalog``.
 
     ``restrict`` can be switched off (see
     ``SelfMaintainer.set_restriction``) to plan propagation joins over
@@ -157,17 +146,12 @@ class MaintenancePlanner:
         graph,
         aux_set,
         reconstructor,
-        policy: PlanPolicy,
         order: tuple[str, ...],
-        mode: PlannerMode = PlannerMode.STATIC,
-        catalog: StatsCatalog | None = None,
+        catalog: StatsCatalog,
     ):
         self.view = view
-        self.graph = graph
-        self.policy = policy
         self.reconstructor = reconstructor
         self.restrict = True
-        self.mode = mode
         self.catalog = catalog
         #: Observed per-shape cardinalities fed back by the maintainer's
         #: estimate checks: ``{(table, sign): {"local_rows", "reduce_rows"}}``.
@@ -178,10 +162,6 @@ class MaintenancePlanner:
         self._root = graph.root
         self._schemas: dict[str, Schema] = {
             table: database.table(table).schema for table in view.tables
-        }
-        self._keys = {
-            table: (database.table(table).key, database.table(table).key_index())
-            for table in view.tables
         }
         self._aux_schemas: dict[str, Schema] = {
             aux.table: aux.output_schema() for aux in aux_set
@@ -243,34 +223,16 @@ class MaintenancePlanner:
             edges[join.right_table].append((join.left_table, right, left))
         return {table: tuple(pairs) for table, pairs in edges.items()}
 
-    @property
-    def cost_based(self) -> bool:
-        """True when this planner takes decisions from the stats catalog.
-
-        Requires both ``COST`` mode and a catalog; the ``NAIVE`` policy
-        (no maintained indexes, so no free histograms) always plans
-        statically regardless of the requested mode.
-        """
-        return (
-            self.mode is PlannerMode.COST
-            and self.catalog is not None
-            and self.policy is PlanPolicy.INDEXED
-        )
-
     # ------------------------------------------------------------------
     # Plan construction.
     # ------------------------------------------------------------------
 
     def build(self, table: str, sign: int) -> DeltaPlans:
-        est_local = None
-        est_reduce_hint = None
-        if self.cost_based:
-            hints = self.feedback.get((table, sign), {})
-            est_local = max(hints.get("local_rows", DEFAULT_DELTA_ROWS), 1.0)
-            est_reduce_hint = hints.get("reduce_rows")
+        hints = self.feedback.get((table, sign), {})
+        est_local = max(hints.get("local_rows", DEFAULT_DELTA_ROWS), 1.0)
+        est_reduce_hint = hints.get("reduce_rows")
         local = self._build_local(table, sign)
-        if est_local is not None:
-            local.estimated_rows = est_local
+        local.estimated_rows = est_local
         reduce_node, n_reductions = self._build_reduce(
             table, local, est_local, est_reduce_hint
         )
@@ -300,54 +262,46 @@ class MaintenancePlanner:
         self,
         table: str,
         local: PhysicalNode,
-        est_local: float | None = None,
+        est_local: float,
         est_reduce_hint: float | None = None,
     ) -> tuple[PhysicalNode, int]:
         node = local
         reductions = self._reductions[table]
-        selectivity: dict[tuple, float] = {}
-        if self.cost_based and reductions:
-            selectivity = {
-                entry: self.catalog.semijoin_selectivity(entry[1], entry[2])
-                for entry in reductions
-            }
-            # Most selective first; the sort is stable, so equal
-            # selectivities (e.g. a fresh catalog, where every
-            # selectivity is 1.0) keep the static processing order.
-            reductions = tuple(
-                sorted(reductions, key=lambda entry: selectivity[entry])
-            )
+        selectivity = {
+            entry: self.catalog.semijoin_selectivity(entry[1], entry[2])
+            for entry in reductions
+        }
+        # Most selective first; the sort is stable, so equal
+        # selectivities (e.g. a fresh catalog, where every selectivity
+        # is 1.0) keep the processing order.
+        reductions = tuple(
+            sorted(reductions, key=lambda entry: selectivity[entry])
+        )
         estimate = est_local
-        for fk_index, dep_table, dep_key in reductions:
+        for entry in reductions:
+            fk_index, dep_table, dep_key = entry
             probe = KeyProbeSemiJoinNode(node, dep_table, dep_key, fk_index)
-            if self.policy is PlanPolicy.INDEXED:
+            probe.annotations.append(
+                f"index-backed join reduction: probes the maintained "
+                f"key index of X_{dep_table}"
+            )
+            sel = selectivity[entry]
+            key_count = self.catalog.distinct_count(dep_table, dep_key)
+            if key_count and key_count * 4 < estimate:
+                # Far fewer live keys than delta rows: iterate the key
+                # set against a hash of the delta instead of probing the
+                # index per delta row.  Output order is delta order
+                # either way (bit-identical).
+                probe.probe_direction = "keys"
                 probe.annotations.append(
-                    f"index-backed join reduction: probes the maintained "
-                    f"key index of X_{dep_table}"
+                    "probe direction: index keys -> delta "
+                    "(cost: key set much smaller than delta)"
                 )
-            else:
-                probe.annotations.append(
-                    f"join reduction via the rebuilt key cache of X_{dep_table}"
-                )
-            if estimate is not None:
-                entry = (fk_index, dep_table, dep_key)
-                sel = selectivity.get(entry, 1.0)
-                key_count = self.catalog.distinct_count(dep_table, dep_key)
-                if key_count and key_count * 4 < estimate:
-                    # Far fewer live keys than delta rows: iterate the
-                    # key set against a hash of the delta instead of
-                    # probing the index per delta row.  Output order is
-                    # delta order either way (bit-identical).
-                    probe.probe_direction = "keys"
-                    probe.annotations.append(
-                        "probe direction: index keys -> delta "
-                        "(cost: key set much smaller than delta)"
-                    )
-                estimate = max(estimate * sel, 0.0)
-                probe.estimated_rows = max(estimate, 1.0)
-                probe.annotations.append(
-                    f"cost: selectivity {sel:.2f}, est~{max(estimate, 1.0):.1f} rows"
-                )
+            estimate = max(estimate * sel, 0.0)
+            probe.estimated_rows = max(estimate, 1.0)
+            probe.annotations.append(
+                f"cost: selectivity {sel:.2f}, est~{max(estimate, 1.0):.1f} rows"
+            )
             node = probe
         if est_reduce_hint is not None and node is not local:
             # Observed feedback for the whole chain beats the formula.
@@ -356,17 +310,10 @@ class MaintenancePlanner:
 
     def _build_propagate(self, table: str, reduce_node: PhysicalNode) -> PhysicalNode:
         nodes: dict[str, PhysicalNode] = {table: reduce_node}
-        est_sizes: dict[str, float] = {}
+        est_sizes = {table: max(reduce_node.estimated_rows or 1.0, 1.0)}
         skipped: set[str] = set()
-        if self.cost_based:
-            est_sizes[table] = max(reduce_node.estimated_rows or 1.0, 1.0)
         if self.restrict:
-            if self.cost_based:
-                skipped = self._restrict_by_cost(table, nodes, est_sizes)
-            elif self.policy is PlanPolicy.INDEXED:
-                self._restrict_join_neighbors(table, nodes)
-            else:
-                self._restrict_ancestor_path(table, nodes)
+            skipped = self._restrict_by_cost(table, nodes, est_sizes)
         for other in self.view.tables:
             if other not in nodes and other in self._aux_schemas:
                 scan = AuxScanNode(other)
@@ -376,35 +323,26 @@ class MaintenancePlanner:
                         "(delta reach covers the auxiliary view)"
                     )
                 nodes[other] = scan
-                if self.cost_based:
-                    est_sizes[other] = float(
-                        max(self.catalog.table_rows(other), 1)
-                    )
+                est_sizes[other] = float(max(self.catalog.table_rows(other), 1))
         missing = [t for t in self.view.tables if t not in nodes]
         if missing:
             raise PlanError(f"cannot join: no relation supplied for {missing!r}")
-        if self.cost_based:
-            steps = cost_join_order(
-                self.view.tables,
-                self.view.joins,
-                start=table,
-                size_of=lambda t: est_sizes.get(t, 1.0),
-                join_rows=lambda est, t, pairs: self._join_estimate(
-                    est, t, pairs, est_sizes
-                ),
-            )
-            joined = self._join_with_estimates(table, nodes, steps, est_sizes)
-        else:
-            steps = join_order(
-                self.view.tables, self.view.joins, start=table, on_stuck="raise"
-            )
-            joined = join_physical(nodes, steps)
+        steps = cost_join_order(
+            self.view.tables,
+            self.view.joins,
+            start=table,
+            size_of=lambda t: est_sizes.get(t, 1.0),
+            join_rows=lambda est, t, pairs: self._join_estimate(
+                est, t, pairs, est_sizes
+            ),
+        )
+        joined = self._join_with_estimates(table, nodes, steps, est_sizes)
         accumulate = AccumulateNode(joined, self.reconstructor)
         accumulate.estimated_rows = joined.estimated_rows
         return accumulate
 
     # ------------------------------------------------------------------
-    # Cost-mode helpers (estimates from the stats catalog).
+    # Cost helpers (estimates from the stats catalog).
     # ------------------------------------------------------------------
 
     def _restrict_by_cost(
@@ -449,7 +387,6 @@ class MaintenancePlanner:
                     schema.index_of(local_col),
                     far_col,
                     aux_schema,
-                    count_probes=True,
                 )
                 node.estimated_rows = max(est_matched, 1.0)
                 node.annotations.append(
@@ -514,76 +451,3 @@ class MaintenancePlanner:
             return node
 
         return join_physical(nodes, steps, make_join)
-
-    def _restrict_join_neighbors(
-        self, table: str, nodes: dict[str, PhysicalNode]
-    ) -> None:
-        """Plan the semijoin restriction of *every* reachable view table,
-        walking the join tree outward from the changed table.  The walk
-        is schema-determined, so it happens once at build time; per
-        transaction only the index probes run.  When a hop's join column
-        is not stored in a materialization the walk stops there and the
-        remaining relations stay full (still sound)."""
-        frontier: list[tuple[str, Schema]] = [(table, self._schemas[table])]
-        visited = {table}
-        while frontier:
-            current, schema = frontier.pop()
-            for neighbor, local_col, far_col in self._neighbor_edges[current]:
-                if neighbor in visited:
-                    continue
-                aux_schema = self._aux_schemas.get(neighbor)
-                if aux_schema is None:
-                    continue  # eliminated: nothing materialized to restrict
-                if not schema.has(local_col) or not aux_schema.has(far_col):
-                    continue  # join column not stored: leave neighbor full
-                node = NeighborRestrictNode(
-                    nodes[current],
-                    neighbor,
-                    schema.index_of(local_col),
-                    far_col,
-                    aux_schema,
-                    count_probes=True,
-                )
-                node.annotations.append(
-                    "index-backed semijoin restriction via the maintained "
-                    "hash index"
-                )
-                nodes[neighbor] = node
-                visited.add(neighbor)
-                frontier.append((neighbor, aux_schema))
-
-    def _restrict_ancestor_path(
-        self, table: str, nodes: dict[str, PhysicalNode]
-    ) -> None:
-        """Plan the seed's ancestor-only restriction: climb from the
-        changed dimension toward the root, restricting each materialized
-        parent by the child's keys, stopping when a parent's key is not
-        stored (exactly the legacy loop's stopping rules)."""
-        current = table
-        source = nodes[table]
-        local_index = self._keys[table][1]
-        while True:
-            parent = self.graph.parent(current)
-            if parent is None or parent not in self._aux_schemas:
-                return
-            join = next(
-                j for j in self.view.joins_from(parent)
-                if j.right_table == current
-            )
-            aux_schema = self._aux_schemas[parent]
-            node = NeighborRestrictNode(
-                source,
-                parent,
-                local_index,
-                f"{parent}.{join.left_attribute}",
-                aux_schema,
-                count_probes=False,
-            )
-            node.annotations.append("ancestor-path restriction (naive policy)")
-            nodes[parent] = node
-            parent_key_ref = f"{parent}.{self._keys[parent][0]}"
-            if not aux_schema.has(parent_key_ref):
-                return  # the parent's key is not stored: stop climbing
-            local_index = aux_schema.index_of(parent_key_ref)
-            source = node
-            current = parent

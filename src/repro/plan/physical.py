@@ -150,8 +150,8 @@ class PhysicalNode:
         self.annotations: list[str] = []
         self.share_key: LogicalNode | None = None
         self.stats = ActualStats()
-        #: The cost planner's predicted output cardinality (None under
-        #: the static planner); compared against :attr:`stats` after
+        #: The maintenance planner's predicted output cardinality (None
+        #: on evaluation plans); compared against :attr:`stats` after
         #: execution to drive adaptive re-planning.
         self.estimated_rows: float | None = None
         self._timer_key = "plan:" + self.label
@@ -471,9 +471,8 @@ class KeyProbeSemiJoinNode(PhysicalNode):
     of a dependency's auxiliary view.
 
     The key set comes from the materialization's ``key_values`` view —
-    under the indexed policy a live, incrementally-maintained hash-index
-    view (O(1) probes, no rebuild); under the naive policy a set rebuilt
-    when the materialization changed.
+    a live, incrementally-maintained hash-index view (O(1) probes, no
+    rebuild).
 
     ``probe_direction`` is the cost planner's knob: ``"delta"`` (the
     default) probes the key set once per delta row; ``"keys"`` — chosen
@@ -523,14 +522,12 @@ class NeighborRestrictNode(PhysicalNode):
     """Restrict one auxiliary view to the rows that can join the input.
 
     Collects the input's values of one join column and probes the
-    target materialization's hash index (``rows_matching``) — the static
-    form of the maintenance loop's join-tree restriction walk.  Probes
-    are counted as ``index_probes`` only under the indexed policy, where
-    the probe hits a maintained index (matching the historical counter
-    semantics of the two loops).
+    target materialization's hash index (``rows_matching``) — one hop of
+    the maintenance planner's join-tree restriction walk.  Each distinct
+    probed value counts as one ``index_probes``.
     """
 
-    __slots__ = ("table", "local_index", "far_ref", "schema", "count_probes")
+    __slots__ = ("table", "local_index", "far_ref", "schema")
 
     def __init__(
         self,
@@ -539,14 +536,12 @@ class NeighborRestrictNode(PhysicalNode):
         local_index: int,
         far_ref: str,
         schema: Schema,
-        count_probes: bool,
         logical: LogicalNode | None = None,
     ):
         self.table = table
         self.local_index = local_index
         self.far_ref = far_ref
         self.schema = schema
-        self.count_probes = count_probes
         super().__init__((child,), f"restrict:{self.table}", logical)
 
     def describe(self) -> str:
@@ -556,8 +551,7 @@ class NeighborRestrictNode(PhysicalNode):
         local = self.local_index
         values = {row[local] for row in inputs[0].rows}
         matched = ctx.provider(self.table).rows_matching(self.far_ref, values)
-        if self.count_probes:
-            ctx.count("index_probes", len(values))
+        ctx.count("index_probes", len(values))
         return Relation(self.schema, matched, validate=False)
 
 

@@ -19,7 +19,6 @@ operator loops it replaces.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -53,21 +52,6 @@ from repro.plan.physical import (
     ProjectNode,
     ScanNode,
 )
-
-
-class PlanPolicy(enum.Enum):
-    """How plans are physically realized.
-
-    ``INDEXED`` is the former hot path: delta coalescing, maintained
-    hash indexes behind every probe, restriction of the full join tree,
-    and cross-view subplan sharing.  ``NAIVE`` is the former legacy
-    loop: no indexes, ancestor-path restriction only, no sharing.  Both
-    produce identical results; the split exists so the benchmark can
-    measure the gap.
-    """
-
-    INDEXED = "indexed"
-    NAIVE = "naive"
 
 
 class JoinGraphDisconnected(PlanError):
@@ -377,10 +361,10 @@ def prune_projections(
 def lower(node: LogicalNode) -> PhysicalNode:
     """Structural logical-to-physical lowering (hash implementations).
 
-    Policy-specific physical choices — key-probe semijoins, restriction
-    chains, index joins — are made by the maintenance planner
-    (:mod:`repro.plan.maintenance`), which builds physical trees
-    directly from its richer static knowledge.
+    Maintenance-specific physical choices — key-probe semijoins,
+    restriction chains, index joins — are made by the maintenance
+    planner (:mod:`repro.plan.maintenance`), which builds physical trees
+    directly from schema knowledge and live statistics.
     """
     if isinstance(node, Scan):
         return ScanNode(node.source, node)

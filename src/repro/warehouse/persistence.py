@@ -12,6 +12,8 @@ to JSON and rebuilds it against the catalog alone.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from pathlib import Path
 from typing import Mapping
@@ -128,8 +130,9 @@ def restore_warehouse(
 
 
 def save_warehouse(warehouse: Warehouse, path: str | Path) -> None:
-    """Write a warehouse checkpoint to ``path`` as JSON."""
-    Path(path).write_text(json.dumps(dump_warehouse(warehouse)))
+    """Write a warehouse checkpoint to ``path`` as JSON, atomically: a
+    crash or a failed write leaves the previous checkpoint in place."""
+    _write_atomically(Path(path), json.dumps(dump_warehouse(warehouse)))
     warehouse.events.info(
         "checkpoint.saved",
         path=str(path),
@@ -145,6 +148,34 @@ def load_warehouse(
     """Read a warehouse checkpoint from ``path``."""
     checkpoint = json.loads(Path(path).read_text())
     return restore_warehouse(views, catalog, checkpoint)
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or the
+    new one, never a torn mix.  The bytes go to a temp file in the same
+    directory, are fsynced, and are renamed over ``path``; the directory
+    is then fsynced so the rename itself survives a crash.  The temp
+    file is removed if anything before the rename fails."""
+    fd, temp = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except FileNotFoundError:
+            pass
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _check_quiescent(maintainer: SelfMaintainer) -> None:

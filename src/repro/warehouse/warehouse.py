@@ -26,11 +26,8 @@ from repro.perf import PerfStats
 from repro.plan.cost import (
     DEFAULT_DELTA_ROWS,
     MIN_SHARED_BENEFIT_ROWS,
-    PlannerMode,
     SharedPlanCache,
-    make_planner_mode,
 )
-from repro.plan.planner import PlanPolicy
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,6 @@ class Warehouse:
         views: list[ViewDefinition] | None = None,
         tracer: Tracer | None = None,
         backend: Backend | str | None = None,
-        planner: "PlannerMode | str | None" = None,
         events: EventLog | None = None,
     ):
         """``database`` is only read during :meth:`register` (initial load).
@@ -91,12 +87,6 @@ class Warehouse:
         to consult ``REPRO_BACKEND`` (default memory); one backend
         instance is shared by every view registered here, so a
         warehouse transaction is one backend transaction.
-        ``planner`` (``"cost"``/``"static"``/``None`` for
-        ``REPRO_PLANNER``) is handed to every maintainer and also
-        governs cross-view sharing: under ``cost``, :meth:`apply` hands
-        maintainers a :class:`~repro.plan.cost.SharedPlanCache` that
-        admits only the explicitly *selected* shared subplans (see
-        :meth:`shared_subplan_selection`).
         ``events`` is the structured :class:`~repro.obs.log.EventLog`
         every maintainer (and the backend) narrates into — one log per
         warehouse, trace-correlated; a default bounded log is created
@@ -106,7 +96,6 @@ class Warehouse:
         self.events = events if events is not None else EventLog()
         self._backend = make_backend(backend)
         self._backend.bind_observability(events=self.events)
-        self.planner_mode = make_planner_mode(planner)
         self._maintainers: dict[str, SelfMaintainer] = {}
         self._shared_selection: frozenset | None = None
         self._last_shared_cache: SharedPlanCache | None = None
@@ -126,7 +115,6 @@ class Warehouse:
             self._database,
             tracer=self.tracer,
             backend=self._backend,
-            planner=self.planner_mode,
             events=self.events,
         )
         self._maintainers[view.name] = maintainer
@@ -166,11 +154,9 @@ class Warehouse:
         One shared plan-result cache spans all maintainers of the call:
         structurally identical delta subplans (two views reading the
         same coalesced, locally-reduced delta of a table) execute once
-        and the other maintainers reuse the result.  Under the cost
-        planner the cache is a :class:`~repro.plan.cost.SharedPlanCache`
-        restricted to the *selected* shared subplans (explicit
-        multi-query optimization); under the static planner it is the
-        historical opportunistic dict.
+        and the other maintainers reuse the result.  The cache is a
+        :class:`~repro.plan.cost.SharedPlanCache` restricted to the
+        *selected* shared subplans (explicit multi-query optimization).
 
         Returns ``{view name: (changed group keys...)}`` — the forward
         redo records the transaction's undo logs collected, i.e. exactly
@@ -179,12 +165,8 @@ class Warehouse:
         other callers may ignore the return value.
         """
         applied: list[tuple[SelfMaintainer, UndoLog]] = []
-        shared: dict | SharedPlanCache
-        if self.planner_mode is PlannerMode.COST:
-            shared = SharedPlanCache(self.shared_subplan_selection())
-            self._last_shared_cache = shared
-        else:
-            shared = {}
+        shared = SharedPlanCache(self.shared_subplan_selection())
+        self._last_shared_cache = shared
         try:
             for maintainer in self._maintainers.values():
                 log = UndoLog()
@@ -208,7 +190,7 @@ class Warehouse:
         set and cached.
 
         A subtree qualifies when it appears in the delta plans of at
-        least two registered (indexed-policy) views *and* the estimated
+        least two registered views *and* the estimated
         recomputation it saves — its estimated cardinality times the
         extra computations avoided — clears
         :data:`~repro.plan.cost.MIN_SHARED_BENEFIT_ROWS`.  This is the
@@ -222,8 +204,6 @@ class Warehouse:
         owners: dict[object, set[str]] = {}
         estimates: dict[object, float] = {}
         for name, maintainer in self._maintainers.items():
-            if maintainer.policy is not PlanPolicy.INDEXED:
-                continue  # naive maintainers never share (no coalescing)
             signs = (1,) if maintainer.append_only else (1, -1)
             for table in maintainer.view.tables:
                 for sign in signs:
@@ -250,7 +230,7 @@ class Warehouse:
     def last_shared_cache(self) -> SharedPlanCache | None:
         """The :meth:`apply` call's most recent shared-subplan cache
         (admitted/rejected counters for benchmarks); ``None`` before the
-        first cost-mode apply."""
+        first apply."""
         return self._last_shared_cache
 
     # ------------------------------------------------------------------
@@ -332,8 +312,7 @@ class Warehouse:
 
         With a view name, that maintainer's ``{delta shape: [node
         records]}`` mapping; with none, one mapping per registered view.
-        This is the ``explain --analyze`` payload, and the observed
-        cardinality feed the ROADMAP's cost-based planner will train on.
+        This is the ``explain --analyze`` payload.
         """
         if view_name is not None:
             return self._maintainers[view_name].runtime_stats()

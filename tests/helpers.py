@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.catalog.database import Database
+from repro.core.maintenance import SelfMaintainer
 from repro.engine.relation import Relation
 from repro.workloads.retail import paper_mini_database
 
@@ -29,6 +30,30 @@ def assert_same_bag(actual: Relation, expected: Relation, context: str = "") -> 
         raise AssertionError(
             f"relations differ{' (' + context + ')' if context else ''}:\n"
             f"missing: {dict(missing)}\nextra: {dict(extra)}"
+        )
+
+
+def assert_matches_recomputation(
+    maintainer, database: Database, context: str = ""
+) -> None:
+    """The maintenance oracle: ``V`` equals ``evaluate_eager`` over
+    ``database`` (the sources *after* the stream the maintainer was fed)
+    and every auxiliary view equals the one a fresh in-memory
+    maintainer derives from that same database."""
+    assert_same_bag(
+        maintainer.current_view(),
+        maintainer.view.evaluate_eager(database),
+        context,
+    )
+    fresh = SelfMaintainer(
+        maintainer.view,
+        database,
+        append_only=maintainer.append_only,
+        backend="memory",
+    )
+    for table, expected in fresh.aux_relations().items():
+        assert_same_bag(
+            maintainer.aux_relation(table), expected, f"{context} aux={table}"
         )
 
 

@@ -4,8 +4,7 @@ Satellite properties of the maintenance hot path:
 
 * deleting and re-inserting the very same row within one transaction is
   a no-op on the summary view and on *every* auxiliary view,
-* a maintainer with coalescing (``hotpath=True``) and one without
-  (``hotpath=False``) reach bit-identical state on any valid stream.
+* a coalescing maintainer tracks recomputation on any valid stream.
 """
 
 from collections import Counter
@@ -17,7 +16,7 @@ from repro.engine.deltas import Delta, Transaction
 from repro.workloads.random_gen import random_scenario
 from repro.workloads.retail import paper_mini_database, product_sales_view
 
-from tests.helpers import assert_same_bag
+from tests.helpers import assert_matches_recomputation
 
 SETTINGS = dict(
     max_examples=20,
@@ -90,15 +89,13 @@ def churn_transaction(database, table="sale", count=2):
 
 def test_same_row_churn_is_noop_everywhere():
     database = paper_mini_database()
-    view = product_sales_view()
-    for hotpath in (True, False):
-        maintainer = SelfMaintainer(view, database, hotpath=hotpath)
-        before_view, before_aux = snapshot(maintainer)
-        maintainer.apply(churn_transaction(database, "sale"))
-        maintainer.apply(churn_transaction(database, "product", count=1))
-        after_view, after_aux = snapshot(maintainer)
-        assert after_view == before_view, f"hotpath={hotpath}"
-        assert after_aux == before_aux, f"hotpath={hotpath}"
+    maintainer = SelfMaintainer(product_sales_view(), database)
+    before = snapshot(maintainer)
+    maintainer.apply(churn_transaction(database, "sale"))
+    maintainer.apply(churn_transaction(database, "product", count=1))
+    assert snapshot(maintainer) == before
+    # 2 sale + 1 product row, each deleted and re-inserted, cancel out.
+    assert maintainer.perf.counters["rows_coalesced_away"] == 6
 
 
 def test_churn_mixed_with_real_changes_nets_out():
@@ -113,32 +110,19 @@ def test_churn_mixed_with_real_changes_nets_out():
             deleted=tuple(churn_rows),
         )
     )
-    reference = SelfMaintainer(view, database, hotpath=False)
-    reference.apply(Transaction.of(Delta("sale", inserted=(fresh,))))
-    for hotpath in (True, False):
-        maintainer = SelfMaintainer(view, database, hotpath=hotpath)
-        maintainer.apply(transaction)
-        assert snapshot(maintainer) == snapshot(reference), f"hotpath={hotpath}"
+    maintainer = SelfMaintainer(view, database)
+    maintainer.apply(transaction)
+    database.apply(Transaction.of(Delta("sale", inserted=(fresh,))))
+    assert_matches_recomputation(maintainer, database)
 
 
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 6))
 @settings(**SETTINGS)
 def test_coalescing_never_changes_final_state(seed, steps):
     scenario = random_scenario(seed)
-    fast = SelfMaintainer(scenario.view, scenario.database, hotpath=True)
-    slow = SelfMaintainer(scenario.view, scenario.database, hotpath=False)
+    maintainer = SelfMaintainer(scenario.view, scenario.database)
     for step in range(steps):
-        transaction = scenario.generator.step()
-        fast.apply(transaction)
-        slow.apply(transaction)
-        assert_same_bag(
-            fast.current_view(),
-            slow.current_view(),
-            f"seed={seed} step={step}",
-        )
-    for table in fast.aux_relations():
-        assert_same_bag(
-            fast.aux_relation(table),
-            slow.aux_relation(table),
-            f"seed={seed} aux={table}",
+        maintainer.apply(scenario.generator.step())
+        assert_matches_recomputation(
+            maintainer, scenario.database, f"seed={seed} step={step}"
         )

@@ -50,7 +50,7 @@ from repro.warehouse.persistence import save_warehouse
 from repro.warehouse.warehouse import Warehouse
 from repro.workloads.retail import product_sales_view
 
-from tests.helpers import paper_database
+from tests.helpers import assert_matches_recomputation, paper_database
 
 
 def _insert(sale_id, time=1, product=1, store=1, price=10) -> Transaction:
@@ -284,7 +284,7 @@ class TestDoctor:
         warehouse.close()
 
     def test_stats_drift_is_detected(self):
-        warehouse = _warehouse(planner="cost")
+        warehouse = _warehouse()
         warehouse.apply(_insert(100))
         catalog = warehouse.maintainer("product_sales").stats_catalog
         table = next(iter(catalog._providers))
@@ -561,12 +561,14 @@ class TestShardedPropagation:
         plans: list[set[str]] = []
         for parallel in (False, True):
             backend = ShardedBackend(n_shards=2, parallel=parallel)
-            warehouse = _warehouse(
-                tracer=Tracer(), backend=backend, planner="static"
-            )
+            warehouse = _warehouse(tracer=Tracer(), backend=backend)
             try:
                 for transaction in transactions:
                     warehouse.apply(transaction)
+                    warehouse.database.apply(transaction)
+                assert_matches_recomputation(
+                    warehouse.maintainer("product_sales"), warehouse.database
+                )
                 phases.append(_span_names(warehouse.tracer, "phase"))
                 plans.append(_span_names(warehouse.tracer, "plan"))
                 shard_names = _span_names(warehouse.tracer, "shard")

@@ -1,5 +1,7 @@
 """Tests for warehouse checkpointing (restart without source access)."""
 
+import errno
+import io
 import json
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.catalog.database import BaseTable, Database
 from repro.core.maintenance import SelfMaintainer, SelfMaintenanceError
 from repro.engine.deltas import Delta, Transaction
+from repro.testing.faults import state_fingerprint
 from repro.warehouse.persistence import (
     dump_maintainer,
     dump_warehouse,
@@ -157,6 +160,65 @@ class TestWarehouseCheckpoint:
             assert_same_bag(
                 restored.summary(view.name), view.evaluate(database)
             )
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that dies after writing part of its bytes (a crash,
+        ENOSPC) leaves the previous checkpoint loadable and unchanged,
+        and no temp file behind."""
+        database = paper_database()
+        warehouse = self.make_warehouse(database)
+        views = {
+            "product_sales": product_sales_view(1997),
+            "product_sales_max": product_sales_max_view(),
+        }
+        path = tmp_path / "warehouse.json"
+        save_warehouse(warehouse, path)
+
+        def fingerprints():
+            restored = load_warehouse(views, catalog_only(database), path)
+            return {
+                name: state_fingerprint(restored.maintainer(name))
+                for name in restored.view_names
+            }
+
+        before = fingerprints()
+        warehouse.apply(
+            Transaction.of(Delta.insertion("sale", [(300, 2, 3, 1, 9)]))
+        )
+
+        class TornWriter:
+            """Writes half of what it is given, then runs out of space."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def write(self, text):
+                self._handle.write(text[: len(text) // 2])
+                self._handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return TornWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", torn_open)
+        with pytest.raises(OSError, match="No space left"):
+            save_warehouse(warehouse, path)
+        monkeypatch.undo()
+
+        assert fingerprints() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["warehouse.json"]
 
     def test_view_set_mismatch_rejected(self):
         database = paper_database()

@@ -17,7 +17,6 @@ from repro.plan.logical import (
 )
 from repro.plan.planner import (
     JoinGraphDisconnected,
-    PlanPolicy,
     canonical_view_plan,
     evaluate_view,
     join_order,
@@ -33,7 +32,11 @@ from repro.workloads.retail import (
 )
 from repro.workloads.streams import TransactionGenerator
 
-from tests.helpers import assert_same_bag, paper_database
+from tests.helpers import (
+    assert_matches_recomputation,
+    assert_same_bag,
+    paper_database,
+)
 
 
 def year_is(value):
@@ -166,15 +169,6 @@ def small_retail_warehouse():
 
 
 class TestMaintenancePlans:
-    def test_policy_mapping(self):
-        database = paper_database()
-        view = product_sales_view(1997)
-        assert SelfMaintainer(view, database).policy is PlanPolicy.INDEXED
-        assert (
-            SelfMaintainer(view, database, hotpath=False).policy
-            is PlanPolicy.NAIVE
-        )
-
     def test_delta_plans_are_cached_per_shape(self):
         database = paper_database()
         maintainer = SelfMaintainer(product_sales_view(1997), database)
@@ -185,20 +179,13 @@ class TestMaintenancePlans:
             "sale", -1
         )
 
-    def test_both_policies_maintain_identically(self):
-        database_a = paper_database()
-        database_b = paper_database()
-        view = product_sales_view(1997)
-        indexed = SelfMaintainer(view, database_a)
-        naive = SelfMaintainer(view, database_b, hotpath=False)
-        generator = TransactionGenerator(database_a, seed=11)
+    def test_planned_maintenance_matches_recomputation(self):
+        database = paper_database()
+        maintainer = SelfMaintainer(product_sales_view(1997), database)
+        generator = TransactionGenerator(database, seed=11)
         for __ in range(15):
-            transaction = generator.step()
-            database_b.apply(transaction)
-            indexed.apply(transaction)
-            naive.apply(transaction)
-        assert_same_bag(indexed.current_view(), naive.current_view())
-        assert_same_bag(indexed.current_view(), view.evaluate(database_a))
+            maintainer.apply(generator.step())
+        assert_matches_recomputation(maintainer, database)
 
     def test_set_restriction_off_is_result_identical(self):
         database_a = paper_database()

@@ -4,8 +4,8 @@ Two families:
 
 1. Hypothesis properties over random GPSJ views and random transaction
    streams — plan-based evaluation must match the retained eager
-   evaluator bit for bit, and plan-driven maintenance (both policies)
-   must track recomputation.
+   evaluator bit for bit, and plan-driven maintenance must track
+   recomputation.
 2. Fault injection with the plan layer engaged: a fault fired inside a
    maintenance phase — after plan-node caches and the cross-view shared
    result cache have been populated mid-transaction — must leave every
@@ -32,7 +32,7 @@ from repro.workloads.retail import (
 )
 from repro.workloads.streams import TransactionGenerator
 
-from tests.helpers import assert_same_bag
+from tests.helpers import assert_matches_recomputation, assert_same_bag
 
 SETTINGS = dict(
     max_examples=25,
@@ -64,20 +64,13 @@ def test_planned_evaluation_tracks_random_streams(seed, steps):
 
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 6))
 @settings(**SETTINGS)
-def test_both_plan_policies_track_recomputation(seed, steps):
+def test_planned_maintenance_tracks_recomputation(seed, steps):
     scenario = random_scenario(seed)
-    indexed = SelfMaintainer(scenario.view, scenario.database)
-    naive = SelfMaintainer(scenario.view, scenario.database, hotpath=False)
+    maintainer = SelfMaintainer(scenario.view, scenario.database)
     for step in range(steps):
-        transaction = scenario.generator.step()
-        indexed.apply(transaction)
-        naive.apply(transaction)
-        expected = scenario.view.evaluate_eager(scenario.database)
-        assert_same_bag(
-            indexed.current_view(), expected, f"seed={seed} step={step}"
-        )
-        assert_same_bag(
-            naive.current_view(), expected, f"seed={seed} step={step}"
+        maintainer.apply(scenario.generator.step())
+        assert_matches_recomputation(
+            maintainer, scenario.database, f"seed={seed} step={step}"
         )
 
 

@@ -2,14 +2,13 @@
 
 Four families:
 
-1. Unit coverage of the cost primitives (planner specs, q-error, the
+1. Unit coverage of the cost primitives (planner name, q-error, the
    re-plan threshold, the explicit shared-plan cache).
 2. Hypothesis differential properties — for random GPSJ views and
-   random delta streams, the cost planner must produce results
-   identical to the static planner's (and to ground-truth
-   recomputation) on the memory and SQLite backends, for both plan
-   policies.  The cost layer only reorders provably order-insensitive
-   work, so this is the load-bearing safety property.
+   random delta streams, cost-planned maintenance must match
+   ground-truth recomputation on the memory and SQLite backends.  The
+   cost layer only reorders provably order-insensitive work, so this
+   is the load-bearing safety property.
 3. The adaptive feedback loop — a deterministically planted
    misestimate must trigger exactly one re-plan, and the recompiled
    plan's estimates must converge so no further re-plans fire.
@@ -30,9 +29,7 @@ from repro.perf import PLANNER_QERROR
 from repro.plan.cost import (
     DEFAULT_REPLAN_RATIO,
     PlannerError,
-    PlannerMode,
     SharedPlanCache,
-    make_planner_mode,
     q_error,
     replan_ratio_from_env,
     resolve_planner_name,
@@ -49,7 +46,11 @@ from repro.workloads.retail import (
 )
 from repro.workloads.streams import TransactionGenerator
 
-from tests.helpers import assert_same_bag, paper_database
+from tests.helpers import (
+    assert_matches_recomputation,
+    assert_same_bag,
+    paper_database,
+)
 
 SETTINGS = dict(
     max_examples=20,
@@ -59,54 +60,23 @@ SETTINGS = dict(
 
 
 # ----------------------------------------------------------------------
-# Unit coverage: specs, q-error, thresholds, shared-plan cache.
+# Unit coverage: planner name, q-error, thresholds, shared-plan cache.
 # ----------------------------------------------------------------------
 
 
 class TestPlannerSpecs:
-    def test_default_is_cost(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
+    def test_default_is_cost(self):
         assert resolve_planner_name() == "cost"
-        assert make_planner_mode() is PlannerMode.COST
-
-    def test_env_selects_static(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "static")
-        assert resolve_planner_name() == "static"
-        assert make_planner_mode() is PlannerMode.STATIC
-
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "static")
-        assert make_planner_mode("cost") is PlannerMode.COST
-        assert make_planner_mode(PlannerMode.COST) is PlannerMode.COST
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(PlannerError, match="unknown planner"):
-            resolve_planner_name("bogus")
-
-    def test_maintainer_honors_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "static")
-        maintainer = SelfMaintainer(
-            product_sales_view(1997), paper_database()
-        )
-        assert maintainer.planner_mode is PlannerMode.STATIC
-
-    def test_naive_policy_forces_static(self):
-        maintainer = SelfMaintainer(
-            product_sales_view(1997),
-            paper_database(),
-            hotpath=False,
-            planner="cost",
-        )
-        assert maintainer.planner_mode is PlannerMode.STATIC
 
     def test_replan_ratio_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_REPLAN_RATIO", raising=False)
         assert replan_ratio_from_env() == DEFAULT_REPLAN_RATIO
         monkeypatch.setenv("REPRO_REPLAN_RATIO", "2.5")
         assert replan_ratio_from_env() == 2.5
-        monkeypatch.setenv("REPRO_REPLAN_RATIO", "0.5")
-        with pytest.raises(PlannerError, match=">= 1.0"):
-            replan_ratio_from_env()
+        for bad in ("0.5", "nan"):
+            monkeypatch.setenv("REPRO_REPLAN_RATIO", bad)
+            with pytest.raises(PlannerError, match=">= 1.0"):
+                replan_ratio_from_env()
         monkeypatch.setenv("REPRO_REPLAN_RATIO", "lots")
         with pytest.raises(PlannerError, match="not a number"):
             replan_ratio_from_env()
@@ -142,97 +112,49 @@ class TestSharedPlanCache:
 
 
 # ----------------------------------------------------------------------
-# Differential safety: cost-planned maintenance is result-identical to
-# static-planned maintenance (and ground truth) on every backend.
+# Differential safety: cost-planned maintenance matches recomputation
+# on every backend.
 # ----------------------------------------------------------------------
-
-
-def _assert_all_relations_match(actual_m, expected_m, context=""):
-    assert_same_bag(
-        actual_m.current_view(), expected_m.current_view(), context
-    )
-    for table in expected_m.aux_relations():
-        assert_same_bag(
-            actual_m.aux_relation(table),
-            expected_m.aux_relation(table),
-            f"{context} aux={table}",
-        )
 
 
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 5))
 @settings(**SETTINGS)
-def test_cost_matches_static_on_memory(seed, steps):
+def test_cost_matches_recomputation_on_memory(seed, steps):
     scenario = random_scenario(seed)
-    cost_m = SelfMaintainer(scenario.view, scenario.database, planner="cost")
-    static_m = SelfMaintainer(
-        scenario.view, scenario.database, planner="static"
-    )
+    maintainer = SelfMaintainer(scenario.view, scenario.database)
     for step in range(steps):
-        transaction = scenario.generator.step()
-        cost_m.apply(transaction)
-        static_m.apply(transaction)
-        context = f"seed={seed} step={step}"
-        _assert_all_relations_match(cost_m, static_m, context)
-        assert_same_bag(
-            cost_m.current_view(),
-            scenario.view.evaluate_eager(scenario.database),
-            context,
+        maintainer.apply(scenario.generator.step())
+        assert_matches_recomputation(
+            maintainer, scenario.database, f"seed={seed} step={step}"
         )
 
 
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 4))
 @settings(**SETTINGS)
-def test_cost_matches_static_on_sqlite(seed, steps):
+def test_cost_matches_recomputation_on_sqlite(seed, steps):
     scenario = random_scenario(seed)
-    cost_m = SelfMaintainer(
-        scenario.view, scenario.database, planner="cost", backend="sqlite"
-    )
-    static_m = SelfMaintainer(
-        scenario.view, scenario.database, planner="static"
+    maintainer = SelfMaintainer(
+        scenario.view, scenario.database, backend="sqlite"
     )
     for step in range(steps):
-        transaction = scenario.generator.step()
-        cost_m.apply(transaction)
-        static_m.apply(transaction)
-        _assert_all_relations_match(
-            cost_m, static_m, f"seed={seed} step={step}"
-        )
-
-
-@given(seed=st.integers(0, 10_000), steps=st.integers(1, 4))
-@settings(**SETTINGS)
-def test_cost_indexed_matches_naive(seed, steps):
-    """Both plan policies under an explicit planner spec: the NAIVE
-    policy plans statically regardless, and must stay bag-identical to
-    the cost-planned INDEXED pipeline."""
-    scenario = random_scenario(seed)
-    indexed = SelfMaintainer(scenario.view, scenario.database, planner="cost")
-    naive = SelfMaintainer(
-        scenario.view, scenario.database, hotpath=False, planner="cost"
-    )
-    for step in range(steps):
-        transaction = scenario.generator.step()
-        indexed.apply(transaction)
-        naive.apply(transaction)
-        _assert_all_relations_match(
-            indexed, naive, f"seed={seed} step={step}"
+        maintainer.apply(scenario.generator.step())
+        assert_matches_recomputation(
+            maintainer, scenario.database, f"seed={seed} step={step}"
         )
 
 
 def test_evaluation_plans_are_planner_independent():
-    """Cost choices apply only to delta plans: the view-evaluation plan
-    (whose tests assert exact row order) is byte-identical either way."""
+    """Cost choices apply only to delta plans: after the maintenance
+    planner has compiled and re-planned against live statistics, the
+    view-evaluation plan (whose tests assert exact row order) still
+    reproduces the eager evaluator row for row."""
     scenario = random_scenario(4242)
-    cost_m = SelfMaintainer(scenario.view, scenario.database, planner="cost")
-    static_m = SelfMaintainer(
-        scenario.view, scenario.database, planner="static"
-    )
-    assert (
-        cost_m.current_view().rows == static_m.current_view().rows
-    )  # exact order, not just bag equality
+    maintainer = SelfMaintainer(scenario.view, scenario.database)
+    for __ in range(3):
+        maintainer.apply(scenario.generator.step())
     planned = scenario.view.evaluate(scenario.database)
     eager = scenario.view.evaluate_eager(scenario.database)
-    assert planned.rows == eager.rows
+    assert planned.rows == eager.rows  # exact order, not just bag equality
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +172,7 @@ class TestAdaptiveReplanning:
     def make_maintainer(self):
         database = paper_database()
         view = product_sales_view(1997)
-        return database, SelfMaintainer(view, database, planner="cost")
+        return database, SelfMaintainer(view, database)
 
     def warm(self, database, maintainer, count=3, start=500):
         """Apply single-row sale inserts until the feedback loop has
@@ -303,10 +225,7 @@ class TestAdaptiveReplanning:
         database = paper_database()
         tracer = Tracer(sample_every=1)
         maintainer = SelfMaintainer(
-            product_sales_view(1997),
-            database,
-            planner="cost",
-            tracer=tracer,
+            product_sales_view(1997), database, tracer=tracer
         )
         tx = _sale_insert(700)
         database.apply(tx)
@@ -320,22 +239,6 @@ class TestAdaptiveReplanning:
         assert spans, "expected a replan trace event on the misestimate"
         assert spans[0].attrs["table"] == "sale"
 
-    def test_static_planner_never_replans(self):
-        database = paper_database()
-        maintainer = SelfMaintainer(
-            product_sales_view(1997), database, planner="static"
-        )
-        for sale_id in (800, 801, 802):
-            tx = _sale_insert(sale_id)
-            database.apply(tx)
-            maintainer.apply(tx)
-        assert maintainer.perf.counters["replans"] == 0
-        assert maintainer.delta_plans("sale", +1).stage_estimates() == {
-            "local": None,
-            "reduce": None,
-            "propagate": None,
-        }
-
     def test_runtime_stats_survive_a_replan(self):
         """Observed per-node statistics carry over from a retired plan
         onto its recompiled replacement."""
@@ -346,9 +249,11 @@ class TestAdaptiveReplanning:
         total_execs = sum(r["executions"] for r in records)
         assert total_execs > 0
         # Every warm-up transaction is accounted for on the delta scan,
-        # replans notwithstanding.
+        # replans notwithstanding (once per shard on a sharded backend,
+        # which runs the partitioned sale delta's scan in every shard).
+        shards = getattr(maintainer.backend, "n_shards", 1)
         delta_scans = [r for r in records if r["label"].startswith("Δscan")]
-        assert delta_scans and delta_scans[0]["executions"] == 4
+        assert delta_scans and delta_scans[0]["executions"] == 4 * shards
 
 
 # ----------------------------------------------------------------------
@@ -362,9 +267,7 @@ class TestRollbackStatsHygiene:
     )
     def test_aborted_transaction_restores_domains(self, phase):
         database = paper_database()
-        maintainer = SelfMaintainer(
-            product_sales_view(1997), database, planner="cost"
-        )
+        maintainer = SelfMaintainer(product_sales_view(1997), database)
         # Warm one transaction so plans exist and domains are populated.
         tx = _sale_insert(900)
         database.apply(tx)
@@ -403,9 +306,7 @@ class TestRollbackStatsHygiene:
         """The plan compile happens *inside* the first transaction, so
         its domain writes must be undone with everything else."""
         database = paper_database()
-        maintainer = SelfMaintainer(
-            product_sales_view(1997), database, planner="cost"
-        )
+        maintainer = SelfMaintainer(product_sales_view(1997), database)
         assert maintainer.stats_catalog.domain_snapshot() == {}
         injector = FaultInjector(maintainer)
         injector.arm("aggregate-fold")
@@ -428,7 +329,7 @@ class TestRollbackStatsHygiene:
 # ----------------------------------------------------------------------
 
 
-def _two_view_warehouse(planner):
+def _two_view_warehouse():
     database = build_retail_database(
         RetailConfig(
             days=6,
@@ -439,7 +340,7 @@ def _two_view_warehouse(planner):
             start_year=1997,
         )
     )
-    warehouse = Warehouse(database, planner=planner)
+    warehouse = Warehouse(database)
     warehouse.register(product_sales_view(1997))
     warehouse.register(product_sales_max_view())
     return database, warehouse
@@ -447,13 +348,13 @@ def _two_view_warehouse(planner):
 
 class TestSharedSubplanSelection:
     def test_selection_is_nonempty_for_overlapping_views(self):
-        __, warehouse = _two_view_warehouse("cost")
+        __, warehouse = _two_view_warehouse()
         selection = warehouse.shared_subplan_selection()
         assert isinstance(selection, frozenset)
         assert selection, "the two retail views share delta subplans"
 
     def test_cost_mode_admits_selected_results(self):
-        database, warehouse = _two_view_warehouse("cost")
+        database, warehouse = _two_view_warehouse()
         generator = TransactionGenerator(database, seed=7)
         for __ in range(3):
             warehouse.apply(generator.step())
@@ -461,38 +362,23 @@ class TestSharedSubplanSelection:
         assert isinstance(cache, SharedPlanCache)
         assert cache.admitted > 0, "selected subplan results were cached"
 
-    def test_static_mode_uses_opportunistic_dict(self):
-        database, warehouse = _two_view_warehouse("static")
-        generator = TransactionGenerator(database, seed=7)
-        warehouse.apply(generator.step())
-        assert warehouse.last_shared_cache is None
-
-    def test_selection_matches_static_results(self):
-        db_cost, cost_w = _two_view_warehouse("cost")
-        db_static, static_w = _two_view_warehouse("static")
-        gen_cost = TransactionGenerator(db_cost, seed=11)
-        gen_static = TransactionGenerator(db_static, seed=11)
+    def test_shared_selection_matches_recomputation(self):
+        database, warehouse = _two_view_warehouse()
+        generator = TransactionGenerator(database, seed=11)
         for step in range(4):
-            cost_w.apply(gen_cost.step())
-            static_w.apply(gen_static.step())
-            for name in cost_w.view_names:
-                assert_same_bag(
-                    cost_w.summary(name),
-                    static_w.summary(name),
+            warehouse.apply(generator.step())
+            for name in warehouse.view_names:
+                assert_matches_recomputation(
+                    warehouse.maintainer(name),
+                    database,
                     f"step={step} view={name}",
                 )
 
     def test_explain_marks_cost_selection(self):
-        __, warehouse = _two_view_warehouse("cost")
+        __, warehouse = _two_view_warehouse()
         report = warehouse.explain_plans()
         assert "shared across views: product_sales, product_sales_max" in report
         assert "[cost-selected]" in report
-
-    def test_explain_static_mode_keeps_plain_marks(self):
-        __, warehouse = _two_view_warehouse("static")
-        report = warehouse.explain_plans()
-        assert "shared across views" in report
-        assert "[cost-selected]" not in report
 
 
 # ----------------------------------------------------------------------
