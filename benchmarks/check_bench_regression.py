@@ -5,12 +5,6 @@ rows/second is hardware-bound and useless across CI machines, so each
 benchmark declares a machine-invariant *ratio* measured within one run
 on one machine, and the gate compares that:
 
-* ``bench_backends.py`` → ``BENCH_backends.json``, gated on
-  ``relative_throughput`` (SQLite-over-memory throughput), which the
-  SQL generation + staging overhead must not erode — and, with
-  ``--metric relative_throughput_columnar``, on the columnar
-  backend's batch-kernel advantage over the row interpreter (CI runs
-  the gate once per metric);
 * ``bench_sharded.py`` → ``BENCH_sharded.json``, gated on
   ``projected_speedup`` (critical-path speedup projected from serial
   mode's per-shard compute timers, per key distribution and shard
@@ -32,16 +26,14 @@ on one machine, and the gate compares that:
 
 The baseline file and metric are picked from the fresh report's
 ``benchmark`` name, which must be one of the above (a report without
-one is an error); ``--baseline``/``--metric`` override.
+one is an error).
 
 Usage::
 
     python benchmarks/bench_planner.py \
         --scale small --out /tmp/BENCH_planner_smoke.json
     python benchmarks/check_bench_regression.py \
-        /tmp/BENCH_planner_smoke.json \
-        [--baseline BENCH_planner.json] [--metric work_reduction] \
-        [--scale small] [--tolerance 0.25]
+        /tmp/BENCH_planner_smoke.json [--scale small] [--tolerance 0.25]
 
 Exit status 1 (with a per-stream report) if any stream's metric falls
 more than ``tolerance`` below the baseline's.  The gate also asserts
@@ -62,7 +54,6 @@ _REPO = Path(__file__).resolve().parent.parent
 #: benchmark name (the report's ``benchmark`` key) → committed baseline
 #: and the machine-invariant ratio field it gates on.
 BENCHMARKS = {
-    "backend_comparison": (_REPO / "BENCH_backends.json", "relative_throughput"),
     "sharded_scaling": (_REPO / "BENCH_sharded.json", "projected_speedup"),
     "serving_load": (_REPO / "BENCH_serving.json", "consistent_fraction"),
     "planner_adaptivity": (_REPO / "BENCH_planner.json", "work_reduction"),
@@ -240,18 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", help="JSON written by a fresh bench run")
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="committed baseline JSON (default: picked from the fresh "
-        "report's 'benchmark' name)",
-    )
-    parser.add_argument(
-        "--metric",
-        default=None,
-        help="ratio field to gate on (default: picked from the fresh "
-        "report's 'benchmark' name)",
-    )
-    parser.add_argument(
         "--scale", default="small", help="scale to gate on (default: small)"
     )
     parser.add_argument(
@@ -268,9 +247,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.fresh}: 'benchmark' is {name!r}, expected one of "
             f"{', '.join(sorted(BENCHMARKS))}"
         )
-    default_baseline, default_metric = BENCHMARKS[name]
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    metric = args.metric or default_metric
+    baseline_path, metric = BENCHMARKS[name]
     baseline = json.loads(baseline_path.read_text())
     print(
         f"regression gate: benchmark={fresh.get('benchmark', '?')} "

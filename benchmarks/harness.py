@@ -5,8 +5,8 @@ streams against maintainers over identically-built retail warehouses;
 this module owns that common machinery — the scale configurations, the
 benchmark view, the stream generator, the replay loop, and the
 equivalence and histogram helpers — so the per-benchmark files only
-differ in *what* they compare (memory vs SQLite vs columnar, 1 shard
-vs N, adaptive vs frozen planning).
+differ in *what* they compare (memory vs columnar, 1 shard vs N,
+adaptive vs frozen planning).
 """
 
 from __future__ import annotations

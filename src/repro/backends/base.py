@@ -9,9 +9,10 @@ exactly the separation the plan layer was built for.
 :class:`MemoryBackend` delegates to the existing Python interpreter
 (:meth:`~repro.plan.physical.PhysicalNode.run` and the
 materializations of :mod:`repro.core.maintenance`); atomicity stays
-with the :class:`~repro.engine.undolog.UndoLog`.  The SQLite backend
-(:mod:`repro.backends.sqlite`) replaces both with generated SQL and
-native savepoint rollback.
+with the :class:`~repro.engine.undolog.UndoLog`.  The columnar backend
+(:mod:`repro.backends.columnar`) replaces the interpreter with column
+stores and fused batch kernels, recording first-touch snapshots into
+the same log.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ import os
 
 from repro.plan.executor import ExecutionContext
 
-#: Backends selectable by name (``sqlite`` also accepts ``sqlite:<path>``;
-#: ``sharded`` accepts ``sharded:<N>`` and ``sharded:<N>:parallel``).
-BACKEND_NAMES = ("memory", "sqlite", "sharded", "columnar")
+#: Backends selectable by name (``sharded`` also accepts ``sharded:<N>``
+#: and ``sharded:<N>:parallel``).
+BACKEND_NAMES = ("memory", "sharded", "columnar")
 
 #: The parameterized spec forms each backend accepts, for error messages
 #: and ``--help`` text.
 BACKEND_SPECS = (
     "memory",
-    "sqlite[:<path>]",
     "sharded:<N>[:parallel]",
     "columnar",
 )
@@ -94,19 +94,6 @@ class Backend:
         tables (recomputation, not maintenance)."""
         raise NotImplementedError
 
-    def execute_delta_plans(self, plans, ctx: ExecutionContext) -> dict:
-        """Convenience: run a full :class:`DeltaPlans` pipeline, stage
-        by stage, returning ``{"local": ..., "reduce": ...,
-        "propagate": ...}`` (``propagate`` omitted when the pipeline has
-        none)."""
-        results = {
-            "local": self.run_plan(plans.local, ctx),
-            "reduce": self.run_plan(plans.reduce, ctx),
-        }
-        if plans.propagate is not None:
-            results["propagate"] = self.run_plan(plans.propagate, ctx)
-        return results
-
     # ------------------------------------------------------------------
     # Transaction boundaries.
     # ------------------------------------------------------------------
@@ -116,21 +103,12 @@ class Backend:
         and register its rollback with ``log`` (an
         :class:`~repro.engine.undolog.UndoLog`)."""
 
-    def end_transaction(self) -> None:
-        """Close the per-transaction undo hooks (success or failure)."""
-
     def commit(self) -> None:
         """Durably commit every scope opened since the last commit."""
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-
-    def physical_detail_size_bytes(self, materializations) -> int | None:
-        """Bytes the backend's own storage engine uses for the given
-        materializations, or ``None`` when the backend has no physical
-        measure beyond the paper's attribute-width model."""
-        return None
 
     def describe(self, namespace: str = "") -> str | None:
         """One-line physical description of how this backend executes
@@ -148,7 +126,7 @@ class Backend:
     def merge_runtime_stats(self, namespace: str, stats: dict) -> dict:
         """Fold backend-side plan observations into a maintainer's
         ``runtime_stats()`` payload for ``namespace``.  Backends that
-        execute plans in this process (memory, sqlite) already
+        execute plans in this process (memory, columnar) already
         accumulated everything on the caller's plan nodes and return
         ``stats`` unchanged; a distributed backend (the sharded pool's
         parallel mode) merges the per-worker ActualStats here so
@@ -213,9 +191,9 @@ def _parse_sharded_spec(rest: str, spec: str) -> tuple[int, bool]:
 
 def make_backend(spec=None) -> Backend:
     """Build a backend from a spec: an instance (returned as-is),
-    ``"memory"``, ``"sqlite"``, ``"sqlite:<path>"``, ``"sharded:<N>"``,
-    ``"sharded:<N>:parallel"``, ``"columnar"``, or ``None`` (defer to
-    the ``REPRO_BACKEND`` environment variable, default memory)."""
+    ``"memory"``, ``"sharded:<N>"``, ``"sharded:<N>:parallel"``,
+    ``"columnar"``, or ``None`` (defer to the ``REPRO_BACKEND``
+    environment variable, default memory)."""
     if isinstance(spec, Backend):
         return spec
     if spec is None:
@@ -223,10 +201,6 @@ def make_backend(spec=None) -> Backend:
     name, _, rest = spec.partition(":")
     if name == "memory":
         return MemoryBackend()
-    if name == "sqlite":
-        from repro.backends.sqlite import SQLiteBackend
-
-        return SQLiteBackend(path=rest or ":memory:")
     if name == "sharded":
         from repro.backends.sharded import ShardedBackend
 

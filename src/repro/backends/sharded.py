@@ -29,8 +29,8 @@ materializations record into the same undo log the interpreter uses).
 ``parallel`` keeps N persistent worker processes (forked once, fed
 pickled coalesced deltas over pipes); each worker compiles its own
 per-shard :class:`~repro.plan.maintenance.DeltaPlans` once and applies
-its partition locally, with a token-stack of undo scopes standing in
-for SQLite's savepoints so a shard failure rolls every shard back and
+its partition locally, with a token-stack of nested undo scopes (one
+per open transaction) so a shard failure rolls every shard back and
 ``apply`` stays all-or-nothing.
 
 The deterministic partitioner is ``crc32(repr(key))`` — the builtin
@@ -862,8 +862,8 @@ class ShardedBackend(Backend):
         if not self.parallel:
             return self._run_serial_stage(node, ctx)
         # Workers time their own plan nodes; the parent records the
-        # whole stage (pipe round-trips included) like the SQLite
-        # backend records each generated statement.
+        # whole stage (pipe round-trips included) as one unit, like
+        # the columnar backend records each fused kernel.
         started = perf_counter()
         result = self._run_parallel_stage(node, ctx)
         elapsed = perf_counter() - started

@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="only show events at or above this level",
             )
             sub.add_argument(
-                "--limit", type=int, default=None,
+                "--limit", type=_non_negative_int, default=None,
                 help="only show the newest N events",
             )
             sub.add_argument(
@@ -339,7 +339,7 @@ def _add_backend_flag(sub) -> None:
         default=None,
         help="execution backend for the maintained warehouse: one of "
         f"{', '.join(BACKEND_NAMES)}, optionally parameterized "
-        "('sqlite:<path>', 'sharded:<N>', 'sharded:<N>:parallel'); "
+        "('sharded:<N>', 'sharded:<N>:parallel'); "
         "default: the REPRO_BACKEND environment variable, else memory",
     )
 
@@ -355,6 +355,13 @@ def _backend_spec(value: str) -> str:
     except BackendError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {number}")
+    return number
 
 
 def _read(path: str) -> str:

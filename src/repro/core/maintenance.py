@@ -440,7 +440,7 @@ class SelfMaintainer:
         default ``None`` the hot path pays no tracing cost at all.
         ``backend`` selects the execution backend holding ``X`` and
         running the compiled plans: a :class:`~repro.backends.Backend`
-        instance, a name (``"memory"``, ``"sqlite"``, ``"sqlite:<path>"``),
+        instance, a name (``"memory"``, ``"columnar"``, ``"sharded:<N>"``),
         or ``None`` to consult the ``REPRO_BACKEND`` environment
         variable (default memory).  Delta plans are chosen per compile
         from live cardinality statistics (join order, probe direction,
@@ -722,14 +722,6 @@ class SelfMaintainer:
         """Total current-detail storage under the paper's size model."""
         return sum(m.size_bytes() for m in self._materializations.values())
 
-    def physical_detail_size_bytes(self) -> int | None:
-        """Bytes the backend's storage engine actually uses for ``X``
-        (e.g. SQLite page counts via ``dbstat``); None when the backend
-        has no physical measure beyond the paper's model."""
-        return self.backend.physical_detail_size_bytes(
-            self._materializations.values()
-        )
-
     def current_view(self) -> Relation:
         """The maintained summary table ``V``."""
         rows = [
@@ -917,7 +909,7 @@ class SelfMaintainer:
         self._end_transaction()
         if undo is not None:
             # A coordinator owns the transaction: it absorbs the undo
-            # entries (including the backend's savepoint restore) and
+            # entries (including the backend's scope restore) and
             # commits the backend itself once all participants succeed.
             undo.absorb(log)
         else:
@@ -970,8 +962,9 @@ class SelfMaintainer:
         log.record(lambda s=domains: self._stats.restore_domains(s))
         self._stats.invalidate()
         # The backend's scope opens next, below every materialization
-        # inverse, so its restore (e.g. a SQLite ``ROLLBACK TO``) runs
-        # after every Python-side inverse (and before the catalog's).
+        # inverse, so its restore (e.g. the parallel sharded workers'
+        # rollback) runs after every materialization inverse (and before
+        # the catalog's).
         self.backend.begin_transaction(log)
         for materialization in self._materializations.values():
             materialization.begin_undo(log)
@@ -982,7 +975,6 @@ class SelfMaintainer:
         self._group_saves = []
         for materialization in self._materializations.values():
             materialization.end_undo()
-        self.backend.end_transaction()
         # The committed state moved; the next plan compile re-reads it.
         self._stats.invalidate()
 

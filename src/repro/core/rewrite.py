@@ -92,10 +92,9 @@ class SymbolicProgram:
     joined row — as ``(slot, position, scale_by_multiplicity)`` for
     SUM/AVG contributions and ``(slot, category, position)`` for
     extremum/distinct raw values.  This is the single source of truth
-    three executors share: :meth:`Reconstructor.compile_program` closes
-    over it for the interpreter, the columnar backend's fused fold
-    kernel reads positions straight out of column stores, and the
-    SQLite backend renders it as a ``GROUP BY`` select list.
+    both executors share: :meth:`Reconstructor.compile_program` closes
+    over it for the interpreter, and the columnar backend's fused fold
+    kernel reads positions straight out of column stores.
     """
 
     key_positions: tuple[int, ...]

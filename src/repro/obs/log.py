@@ -165,7 +165,12 @@ class EventLog:
     ) -> list[Event]:
         """Newest-last view of the ring, optionally filtered to events
         at-or-above ``level`` and/or matching a ``name`` prefix, capped
-        to the last ``limit``."""
+        to the last ``limit`` (``0`` selects nothing; a negative
+        ``limit`` raises :class:`ValueError`)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, not {limit}")
+        if limit == 0:
+            return []
         floor = _LEVEL_RANK[level] if level is not None else 0
         with self._lock:
             selected = [

@@ -63,21 +63,16 @@ def _result_size(result) -> int | None:
         return None
 
 
-def run_stage_root(node, ctx: ExecutionContext, execute, prepare=None):
+def run_stage_root(node, ctx: ExecutionContext, execute):
     """The memoize/share/trace/time/ActualStats contract of
     :meth:`PhysicalNode.run`, factored out for backends that execute a
-    whole stage subtree as *one* unit — the SQLite backend's generated
-    SQL and the columnar backend's fused batch kernels — instead of
-    interpreting node by node.
+    whole stage subtree as *one* unit — the columnar backend's fused
+    batch kernels — instead of interpreting node by node.
 
-    ``execute(node, ctx)`` computes the stage result; ``prepare(node,
-    ctx)``, when given, runs after the cache checks but outside the
-    traced/timed section (e.g. SQLite's delta staging, whose cost the
-    historical counters attribute to the surrounding phase, not the
-    plan node).  The stage root's ``plan:<label>`` timer and
-    :class:`~repro.obs.stats.ActualStats` record the whole kernel;
-    inner nodes of the fused subtree stay unrecorded, exactly like the
-    generated-SQL path.
+    ``execute(node, ctx)`` computes the stage result.  The stage root's
+    ``plan:<label>`` timer and :class:`~repro.obs.stats.ActualStats`
+    record the whole kernel; inner nodes of the fused subtree stay
+    unrecorded.
     """
     memo = ctx.memo
     key = id(node)
@@ -101,8 +96,6 @@ def run_stage_root(node, ctx: ExecutionContext, execute, prepare=None):
                 span.rows_out = _result_size(cached)
             memo[key] = cached
             return cached
-    if prepare is not None:
-        prepare(node, ctx)
     perf = ctx.perf
     if ctx.trace is None:
         started = perf_counter()

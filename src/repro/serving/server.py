@@ -262,7 +262,10 @@ class WarehouseService:
             raise ServiceError(
                 400, f"level must be one of {', '.join(LEVELS)}"
             )
-        selected = self.events.events(level=level, limit=limit)
+        try:
+            selected = self.events.events(level=level, limit=limit)
+        except ValueError as error:
+            raise ServiceError(400, str(error)) from None
         body = {
             "schema": EVENT_SCHEMA_VERSION,
             "totals": self.events.totals,
@@ -309,8 +312,10 @@ def _json_bytes(value) -> bytes:
 def _parse_transaction(payload: bytes) -> Transaction:
     try:
         body = json.loads(payload or b"{}")
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError or a bad encoding
         raise ServiceError(400, f"invalid JSON: {error}") from None
+    if not isinstance(body, dict):
+        raise ServiceError(400, "body must be a JSON object")
     deltas = body.get("deltas")
     if not isinstance(deltas, list) or not deltas:
         raise ServiceError(400, "body must carry a non-empty 'deltas' list")
@@ -352,20 +357,15 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(*self.service.metrics())
             elif url.path == "/query":
                 view = _param(params, "view")
-                version = _param(params, "version", optional=True)
-                pinned = int(version) if version is not None else None
+                pinned = _int_param(params, "version")
                 self._reply(*self.service.query(view, pinned))
             elif url.path == "/explain":
                 view = _param(params, "view", optional=True)
                 self._reply(*self.service.explain(view))
             elif url.path == "/events":
                 level = _param(params, "level", optional=True)
-                limit = _param(params, "limit", optional=True)
-                self._reply(
-                    *self.service.export_events(
-                        level, int(limit) if limit is not None else None
-                    )
-                )
+                limit = _int_param(params, "limit")
+                self._reply(*self.service.export_events(level, limit))
             elif url.path == "/trace":
                 fmt = _param(params, "format", optional=True) or "jsonl"
                 self._reply(*self.service.export_traces(fmt))
@@ -380,8 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         params = parse_qs(url.query)
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = self.rfile.read(length) if length else b""
+            payload = self._read_body()
             if url.path == "/apply":
                 mode = _param(params, "mode", optional=True) or "sync"
                 self._reply(*self.service.apply(payload, mode))
@@ -395,6 +394,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(500, f"{type(error).__name__}: {error}")
 
     # ------------------------------------------------------------------
+
+    def _read_body(self) -> bytes:
+        """The request body.  A Content-Length that is not a
+        non-negative integer is a client error, and the connection
+        closes after the reply because the body's end is unknown."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ServiceError(400, f"bad Content-Length {raw!r}")
+        return self.rfile.read(length) if length else b""
 
     def _reply(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)
@@ -419,6 +432,18 @@ def _param(params: dict, name: str, optional: bool = False) -> str | None:
             return None
         raise ServiceError(400, f"missing query parameter {name!r}")
     return values[0]
+
+
+def _int_param(params: dict, name: str) -> int | None:
+    value = _param(params, name, optional=True)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ServiceError(
+            400, f"query parameter {name!r} must be an integer"
+        ) from None
 
 
 class WarehouseServer:

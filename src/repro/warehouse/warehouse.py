@@ -45,10 +45,6 @@ class StorageReport:
     per_auxiliary: dict[str, int]
     eliminated: tuple[str, ...]
     perf: dict | None = None
-    #: Bytes the execution backend's own storage engine holds for the
-    #: auxiliary tables (SQLite ``dbstat`` pages); None on backends
-    #: with no physical measure beyond the paper's width model.
-    physical_detail_bytes: int | None = None
 
     @property
     def total_bytes(self) -> int:
@@ -83,7 +79,7 @@ class Warehouse:
         maintained view contributes its own trace per sampled call).
         ``backend`` selects where the detail data lives and how plans
         execute — a :class:`~repro.backends.Backend` instance, a name
-        (``"memory"``, ``"sqlite"``, ``"sqlite:<path>"``), or ``None``
+        (``"memory"``, ``"columnar"``, ``"sharded:<N>"``), or ``None``
         to consult ``REPRO_BACKEND`` (default memory); one backend
         instance is shared by every view registered here, so a
         warehouse transaction is one backend transaction.
@@ -288,7 +284,6 @@ class Warehouse:
             per_auxiliary=per_aux,
             eliminated=tuple(maintainer.aux_set.eliminated),
             perf=snapshot if snapshot["counters"] else None,
-            physical_detail_bytes=maintainer.physical_detail_size_bytes(),
         )
 
     def perf_report(self, view_name: str | None = None) -> str:

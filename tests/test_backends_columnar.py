@@ -348,7 +348,14 @@ class TestBackendSelection:
         for name in BACKEND_NAMES:
             assert name in message
         assert "sharded:<N>[:parallel]" in message
-        assert "sqlite[:<path>]" in message
+
+    def test_sqlite_is_not_a_runtime_backend(self):
+        assert BACKEND_NAMES == ("memory", "sharded", "columnar")
+        with pytest.raises(BackendError) as excinfo:
+            make_backend("sqlite")
+        assert "valid names are memory, sharded, columnar" in str(
+            excinfo.value
+        )
 
     def test_resolve_backend_name_rejects_unknown(self):
         with pytest.raises(BackendError, match="valid names are"):

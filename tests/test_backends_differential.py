@@ -1,29 +1,25 @@
-"""Differential tests: the SQLite and columnar backends against the
-interpreter.
+"""Differential tests: the columnar backend against the interpreter.
 
-The paper's reductions are relational algebra; nothing about them is
-specific to the in-memory interpreter.  These properties pin that down:
-for random GPSJ views, random delta streams, and injected faults, a
-SQLite- or columnar-backed maintainer must be row-multiset-identical to
-both the memory backend and ground-truth recomputation — including
-after rollbacks, where SQLite's native savepoint restore and the
-columnar stores' key-snapshot undo stand in for the interpreter's
-row-by-row replay.
+For random GPSJ views, random delta streams, and injected faults, a
+columnar-backed maintainer must be row-multiset-identical to both the
+memory backend and ground-truth recomputation — including after
+rollbacks, where the column stores' key-snapshot undo stands in for the
+interpreter's row-by-row replay.  (That the reductions are relational
+algebra, not interpreter artifacts, is checked by running the generated
+SQL on stdlib ``sqlite3`` in ``tests/test_backends_sqlgen.py``.)
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from repro.backends.base import make_backend
-from repro.backends.sqlite import SQLiteBackend
+from repro.backends.columnar import ColumnarBackend
 from repro.core.maintenance import SelfMaintainer
-from repro.plan.planner import view_plan
 from repro.sql import parse_view
 from repro.testing.faults import (
     FaultInjector,
     InjectedFault,
     state_fingerprint,
-    verify_index_consistency,
 )
 from repro.warehouse.warehouse import Warehouse
 from repro.workloads.random_gen import random_scenario
@@ -44,163 +40,46 @@ SETTINGS = dict(
 )
 
 
-def _assert_maintainers_match(sqlite_m, memory_m, context=""):
+def _assert_maintainers_match(other_m, memory_m, context=""):
     assert_same_bag(
-        sqlite_m.current_view(), memory_m.current_view(), context
+        other_m.current_view(), memory_m.current_view(), context
     )
     for table in memory_m.aux_relations():
         assert_same_bag(
-            sqlite_m.aux_relation(table),
+            other_m.aux_relation(table),
             memory_m.aux_relation(table),
             f"{context} aux={table}",
         )
 
 
-@given(seed=st.integers(0, 10_000), steps=st.integers(1, 5))
-@settings(**SETTINGS)
-def test_sqlite_maintainer_tracks_memory_and_recomputation(seed, steps):
-    scenario = random_scenario(seed)
-    memory_m = SelfMaintainer(scenario.view, scenario.database,
-                              backend="memory")
-    sqlite_m = SelfMaintainer(scenario.view, scenario.database,
-                              backend="sqlite")
-    for step in range(steps):
-        transaction = scenario.generator.step()
-        memory_m.apply(transaction)
-        sqlite_m.apply(transaction)
-        context = f"seed={seed} step={step}"
-        _assert_maintainers_match(sqlite_m, memory_m, context)
-        assert_same_bag(
-            sqlite_m.current_view(),
-            scenario.view.evaluate_eager(scenario.database),
-            context,
-        )
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(**SETTINGS)
-def test_sqlite_view_evaluation_matches_eager(seed):
-    scenario = random_scenario(seed)
-    backend = SQLiteBackend()
-    plan = view_plan(scenario.view, scenario.database)
-    result = backend.execute_view_plan(plan, scenario.database)
-    assert_same_bag(
-        result,
-        scenario.view.evaluate_eager(scenario.database),
-        f"seed={seed}",
-    )
-
-
-def test_groupby_free_view_yields_no_row_over_empty_input():
-    """SQL's empty-input aggregate row (SUM=NULL, COUNT=0) must not
-    leak: the algebra yields no group at all (the sqlgen HAVING
-    COUNT(*) > 0 adaptation — see engine/aggregates.py)."""
-    database = paper_database()
-    view = parse_view(
-        """CREATE VIEW v AS
-           SELECT SUM(sale.price) AS total, COUNT(*) AS n
-           FROM sale WHERE sale.price > 1000000""",
-        database,
-    )
-    plan = view_plan(view, database)
-    result = SQLiteBackend().execute_view_plan(plan, database)
-    eager = view.evaluate_eager(database)
-    assert len(eager) == 0
-    assert len(result) == 0, result.rows
-
-
-def _retail_warehouses():
-    def build():
-        return build_retail_database(
-            RetailConfig(
-                days=6,
-                stores=2,
-                products=8,
-                products_sold_per_day=4,
-                transactions_per_product=2,
-                start_year=1997,
-            )
-        )
-
-    db_mem, db_sql = build(), build()
-    views = [product_sales_view(1997), product_sales_max_view()]
-    mem = Warehouse(db_mem, list(views), backend="memory")
-    sql = Warehouse(db_sql, list(views), backend="sqlite")
-    return db_mem, db_sql, mem, sql
-
-
 class TestWarehouseDifferential:
     def test_retail_stream_matches_across_backends(self):
-        db_mem, db_sql, mem, sql = _retail_warehouses()
+        def build():
+            return build_retail_database(
+                RetailConfig(
+                    days=6,
+                    stores=2,
+                    products=8,
+                    products_sold_per_day=4,
+                    transactions_per_product=2,
+                    start_year=1997,
+                )
+            )
+
+        db_mem, db_col = build(), build()
+        views = [product_sales_view(1997), product_sales_max_view()]
+        mem = Warehouse(db_mem, list(views), backend="memory")
+        col = Warehouse(db_col, list(views), backend="columnar")
         gen_mem = TransactionGenerator(db_mem, seed=13)
-        gen_sql = TransactionGenerator(db_sql, seed=13)
+        gen_col = TransactionGenerator(db_col, seed=13)
         for step in range(8):
             mem.apply(gen_mem.step())
-            sql.apply(gen_sql.step())
+            col.apply(gen_col.step())
             for name in mem.view_names:
-                assert_same_bag(
-                    sql.summary(name), mem.summary(name),
+                _assert_maintainers_match(
+                    col.maintainer(name), mem.maintainer(name),
                     f"step={step} view={name}",
                 )
-                sql_m, mem_m = sql.maintainer(name), mem.maintainer(name)
-                for table in mem_m.aux_relations():
-                    assert_same_bag(
-                        sql_m.aux_relation(table),
-                        mem_m.aux_relation(table),
-                        f"step={step} view={name} aux={table}",
-                    )
-
-    def test_storage_report_carries_physical_bytes(self):
-        __, __, mem, sql = _retail_warehouses()
-        name = mem.view_names[0]
-        assert mem.storage_report(name).physical_detail_bytes is None
-        physical = sql.storage_report(name).physical_detail_bytes
-        # dbstat is compiled into the stock python build; if it ever
-        # is not, the report degrades to None rather than lying.
-        if physical is not None:
-            assert physical > 0
-
-
-class TestSQLiteRollbackParity:
-    """A fault at any phase boundary leaves a SQLite-backed warehouse
-    exactly at its pre-transaction fingerprint, in lockstep with the
-    memory backend."""
-
-    @pytest.mark.parametrize(
-        "phase", ["local-reduce", "join-reduce", "aggregate-fold",
-                  "aux-apply"]
-    )
-    def test_fault_rolls_back_both_backends_identically(self, phase):
-        db_mem, db_sql, mem, sql = _retail_warehouses()
-        gen_mem = TransactionGenerator(db_mem, seed=41)
-        gen_sql = TransactionGenerator(db_sql, seed=41)
-        mem.apply(gen_mem.step())
-        sql.apply(gen_sql.step())
-        for warehouse, generator in ((mem, gen_mem), (sql, gen_sql)):
-            fingerprints = {
-                name: state_fingerprint(warehouse.maintainer(name))
-                for name in warehouse.view_names
-            }
-            victim = warehouse.view_names[-1]
-            injector = FaultInjector(warehouse.maintainer(victim))
-            injector.arm(phase)
-            tx = generator.next_transaction()
-            with pytest.raises(InjectedFault):
-                warehouse.apply(tx)
-            injector.uninstall()
-            for name in warehouse.view_names:
-                maintainer = warehouse.maintainer(name)
-                assert state_fingerprint(maintainer) == (
-                    fingerprints[name]
-                ), f"view {name} not rolled back after fault in {phase}"
-                verify_index_consistency(maintainer)
-            # the disarmed transaction then applies cleanly
-            generator.database.apply(tx)
-            warehouse.apply(tx)
-        for name in mem.view_names:
-            assert_same_bag(
-                sql.summary(name), mem.summary(name), f"phase={phase}"
-            )
 
 
 @given(seed=st.integers(0, 10_000), steps=st.integers(1, 5))
@@ -338,8 +217,8 @@ def test_columnar_delete_heavy_hot_key_stream_recycles_rows():
 
 
 def test_env_variable_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "sqlite")
-    assert isinstance(make_backend(None), SQLiteBackend)
+    monkeypatch.setenv("REPRO_BACKEND", "columnar")
+    assert isinstance(make_backend(None), ColumnarBackend)
     database = paper_database()
     view = parse_view(
         """CREATE VIEW v AS
@@ -348,6 +227,6 @@ def test_env_variable_selects_backend(monkeypatch):
         database,
     )
     maintainer = SelfMaintainer(view, database)
-    assert maintainer.backend.name == "sqlite"
+    assert maintainer.backend.name == "columnar"
     monkeypatch.delenv("REPRO_BACKEND")
     assert make_backend(None).name == "memory"

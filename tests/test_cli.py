@@ -289,8 +289,8 @@ class TestDoctorCommand:
 
     def test_planted_corruption_exits_two(self, capsys):
         # Pin the memory backend: only in-process RowIndexes can be
-        # corrupted (the flag is a no-op error on plain-relation
-        # backends such as sqlite).
+        # corrupted (the flag is a no-op error on backends without
+        # them, such as columnar).
         code = main(
             ["doctor", "--retail", "--transactions", "6",
              "--backend", "memory",

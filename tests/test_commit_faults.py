@@ -44,7 +44,7 @@ def _fail_commit_once(backend):
     return lambda: setattr(backend, "commit", original)
 
 
-BACKENDS = ["memory", "sqlite", "sharded:2"]
+BACKENDS = ["memory", "columnar", "sharded:2"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -248,16 +248,3 @@ class TestCloseAndContextManagers:
         # close() releases resources but does not flush the buffer.
         assert closed == [True]
         assert deferred.pending == 1
-
-    def test_sqlite_close_releases_handle(self):
-        database = paper_database()
-        with Warehouse(
-            database, [product_sales_view(1997)], backend="sqlite"
-        ) as warehouse:
-            warehouse.apply(
-                Transaction.of(Delta.insertion("sale", [(100, 1, 1, 1, 30)]))
-            )
-        import sqlite3
-
-        with pytest.raises(sqlite3.ProgrammingError):
-            warehouse.backend._conn.execute("SELECT 1")

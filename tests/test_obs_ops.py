@@ -138,6 +138,9 @@ class TestEventLog:
             "txn.rollback",
         ]
         assert [e.name for e in log.events(limit=1)] == ["txn.rollback"]
+        assert log.events(limit=0) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            log.events(limit=-3)
 
     def test_jsonl_round_trip(self, tmp_path):
         clock = FakeClock(123.0)
@@ -241,7 +244,7 @@ class TestDoctor:
 
     def test_planted_corruption_is_detected(self):
         # Pin the memory backend: only in-process RowIndexes can be
-        # planted (sqlite keeps no RowIndex to desynchronize).
+        # planted (columnar keeps rid indexes, not RowIndexes).
         warehouse = _warehouse(backend="memory")
         warehouse.apply(_insert(100))
         assert plant_index_corruption(warehouse)

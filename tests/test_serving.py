@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import urllib.error
 import urllib.request
 
@@ -335,6 +336,9 @@ class TestWarehouseService:
                 service.apply(b"{}")
             assert excinfo.value.status == 400
             with pytest.raises(ServiceError) as excinfo:
+                service.apply(b"[1]")
+            assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
                 service.apply(_apply_body(_insert(100)), mode="maybe")
             assert excinfo.value.status == 400
             with pytest.raises(ServiceError) as excinfo:
@@ -432,6 +436,33 @@ class TestWarehouseServerSocket:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url + "/query?view=nope")
             assert excinfo.value.code == 404
+        warehouse.close()
+
+    HOSTILE_REQUESTS = [
+        # A negative length must not become rfile.read(-1), which
+        # blocks until the client hangs up.
+        b"POST /apply HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n",
+        b"POST /apply HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n",
+        b"POST /apply HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n\r\n[1]",
+        b"POST /apply HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\n\r\n5",
+        b"GET /query?view=product_sales&version=abc HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"GET /events?limit=abc HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"GET /events?limit=-3 HTTP/1.1\r\nHost: t\r\n\r\n",
+    ]
+
+    def test_hostile_requests_get_400_without_hanging(self):
+        database = paper_database()
+        warehouse = Warehouse(database, [product_sales_view(1997)])
+        with WarehouseServer(warehouse) as server:
+            for raw in self.HOSTILE_REQUESTS:
+                with socket.create_connection(
+                    (server.host, server.port), timeout=5
+                ) as sock:
+                    sock.sendall(raw)
+                    status_line = sock.makefile("rb").readline()
+                assert status_line.split()[1:2] == [b"400"], (
+                    raw, status_line
+                )
         warehouse.close()
 
 
