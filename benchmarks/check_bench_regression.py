@@ -5,14 +5,6 @@ rows/second is hardware-bound and useless across CI machines, so each
 benchmark declares a machine-invariant *ratio* measured within one run
 on one machine, and the gate compares that:
 
-* ``bench_sharded.py`` → ``BENCH_sharded.json``, gated on
-  ``projected_speedup`` (critical-path speedup projected from serial
-  mode's per-shard compute timers, per key distribution and shard
-  count).  The 1-shard projection is 1.0 by construction, so gating
-  the 4-shard value is exactly the 4-over-1 scaling ratio; it is
-  measured deterministically on one core, hence core-count-invariant
-  — wall-clock parallel numbers are NOT gated (CI hosts may have a
-  single core);
 * ``bench_planner.py`` → ``BENCH_planner.json``, gated on
   ``work_reduction`` (rows of maintenance work avoided by adaptive
   re-planning and by explicit shared-subplan selection, each measured
@@ -54,7 +46,6 @@ _REPO = Path(__file__).resolve().parent.parent
 #: benchmark name (the report's ``benchmark`` key) → committed baseline
 #: and the machine-invariant ratio field it gates on.
 BENCHMARKS = {
-    "sharded_scaling": (_REPO / "BENCH_sharded.json", "projected_speedup"),
     "serving_load": (_REPO / "BENCH_serving.json", "consistent_fraction"),
     "planner_adaptivity": (_REPO / "BENCH_planner.json", "work_reduction"),
 }
@@ -125,55 +116,6 @@ def compare(
                 f"{floor:.2f}x ({base[metric]:.2f}x baseline - "
                 f"{tolerance:.0%} tolerance)"
             )
-    return failures
-
-
-def compare_sharded(
-    baseline: dict,
-    fresh: dict,
-    tolerance: float,
-    metric: str = "projected_speedup",
-) -> list[str]:
-    """The sharded-scaling report gates per (distribution, shard count)
-    rather than per (scale, stream); scales may differ between runs —
-    the projection is a ratio, invariant to batch and warehouse size
-    within the gate's tolerance."""
-    failures: list[str] = []
-    for distribution, base_record in sorted(baseline["distributions"].items()):
-        fresh_record = fresh.get("distributions", {}).get(distribution)
-        if fresh_record is None:
-            failures.append(f"{distribution}: missing from fresh run")
-            continue
-        failures += check_histograms(
-            f"baseline/{distribution}", base_record["shards"]
-        )
-        failures += check_histograms(
-            f"fresh/{distribution}", fresh_record["shards"]
-        )
-        for n_shards, base in sorted(
-            base_record["shards"].items(), key=lambda kv: int(kv[0])
-        ):
-            measured = fresh_record["shards"].get(n_shards)
-            if measured is None:
-                failures.append(
-                    f"{distribution}/{n_shards}: missing from fresh run"
-                )
-                continue
-            floor = base[metric] * (1.0 - tolerance)
-            verdict = "ok" if measured[metric] >= floor else "REGRESSION"
-            print(
-                f"  {distribution:<8} {n_shards:>2} shards  "
-                f"baseline {base[metric]:>5.2f}x  "
-                f"measured {measured[metric]:>5.2f}x  "
-                f"floor {floor:>5.2f}x  {verdict}"
-            )
-            if measured[metric] < floor:
-                failures.append(
-                    f"{distribution}/{n_shards}: {metric} "
-                    f"{measured[metric]:.2f}x fell below {floor:.2f}x "
-                    f"({base[metric]:.2f}x baseline - "
-                    f"{tolerance:.0%} tolerance)"
-                )
     return failures
 
 
@@ -253,9 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         f"regression gate: benchmark={fresh.get('benchmark', '?')} "
         f"metric={metric} scale={args.scale} tolerance={args.tolerance:.0%}"
     )
-    if fresh.get("benchmark") == "sharded_scaling":
-        failures = compare_sharded(baseline, fresh, args.tolerance, metric)
-    elif fresh.get("benchmark") == "serving_load":
+    if fresh.get("benchmark") == "serving_load":
         failures = compare_serving(baseline, fresh, args.scale, metric)
     else:
         failures = compare(baseline, fresh, args.scale, args.tolerance, metric)

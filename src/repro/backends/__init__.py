@@ -9,9 +9,8 @@ indexes and compiles delta plans to fused batch kernels
 (:mod:`repro.backends.kernels`).
 :class:`~repro.backends.sharded.ShardedBackend` composes N per-shard
 in-memory stores behind the same interface, partitioning the root
-auxiliary view by its group key (``"sharded:<N>"`` runs the shards
-serially in-process; ``"sharded:<N>:parallel"`` drives N persistent
-worker processes).
+auxiliary view by its group key (``"sharded:<N>"`` runs the N shards
+in-process, one after another).
 
 :mod:`repro.backends.sqlgen` compiles plans to SQL in the repo's own
 dialect; the test suite runs that SQL on stdlib :mod:`sqlite3` to check
@@ -19,8 +18,7 @@ that the paper's reductions are relational algebra, not Python.
 
 Select a backend with ``Warehouse(..., backend="columnar")``, the CLI's
 ``--backend`` flag, or the ``REPRO_BACKEND`` environment variable (used
-by CI to run the whole suite against columnar and against serial
-sharding).
+by CI to run the whole suite against columnar and against sharding).
 """
 
 from repro.backends.base import (

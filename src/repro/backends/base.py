@@ -21,17 +21,12 @@ import os
 
 from repro.plan.executor import ExecutionContext
 
-#: Backends selectable by name (``sharded`` also accepts ``sharded:<N>``
-#: and ``sharded:<N>:parallel``).
+#: Backends selectable by name (``sharded`` also accepts ``sharded:<N>``).
 BACKEND_NAMES = ("memory", "sharded", "columnar")
 
-#: The parameterized spec forms each backend accepts, for error messages
-#: and ``--help`` text.
-BACKEND_SPECS = (
-    "memory",
-    "sharded:<N>[:parallel]",
-    "columnar",
-)
+#: The spec forms the backends accept, for error messages and ``--help``
+#: text.
+BACKEND_SPECS = ("memory", "sharded", "sharded:<N>", "columnar")
 
 #: Environment variable consulted when no backend is given explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -45,20 +40,6 @@ class Backend:
     """Interface every execution backend implements."""
 
     name = "abstract"
-
-    #: Structured event log the owning warehouse binds (None until
-    #: :meth:`bind_observability`); backends narrate operational
-    #: incidents (worker death, recovery) into it when present.
-    events = None
-
-    def bind_observability(self, events=None) -> None:
-        """Attach observability sinks owned by the warehouse.  Called
-        once at warehouse construction; ``events`` is an
-        :class:`~repro.obs.log.EventLog` (or None to leave the backend
-        silent).  The default just stores it; backends with their own
-        processes or connections may override to propagate further."""
-        if events is not None:
-            self.events = events
 
     def prepare_view(
         self,
@@ -123,16 +104,6 @@ class Backend:
         :meth:`Warehouse.metrics_registry`."""
         return None
 
-    def merge_runtime_stats(self, namespace: str, stats: dict) -> dict:
-        """Fold backend-side plan observations into a maintainer's
-        ``runtime_stats()`` payload for ``namespace``.  Backends that
-        execute plans in this process (memory, columnar) already
-        accumulated everything on the caller's plan nodes and return
-        ``stats`` unchanged; a distributed backend (the sharded pool's
-        parallel mode) merges the per-worker ActualStats here so
-        ``explain --analyze`` reports the whole fleet, not shard 0."""
-        return stats
-
     def close(self) -> None:
         """Release backend resources."""
 
@@ -154,63 +125,50 @@ class MemoryBackend(Backend):
         return plan.physical.run(ExecutionContext(resolver=database.relation))
 
 
-def resolve_backend_name(spec: str | None = None) -> str:
-    """The backend name ``spec`` selects, honoring ``REPRO_BACKEND``."""
+def _parse_spec(spec: str | None = None) -> tuple[str, int | None]:
+    """``(name, n_shards)`` for a backend spec, honoring
+    ``REPRO_BACKEND`` when ``spec`` is None (default memory).
+
+    The only accepted forms are ``memory``, ``columnar``, ``sharded``
+    and ``sharded:<N>`` with N >= 1 (``n_shards`` is None for the
+    unsharded backends); anything else raises :class:`BackendError`
+    listing the valid specs."""
     if spec is None:
         spec = os.environ.get(BACKEND_ENV) or "memory"
-    name = spec.split(":", 1)[0]
-    if name not in BACKEND_NAMES:
-        raise BackendError(
-            f"unknown backend {spec!r}: valid names are "
-            f"{', '.join(BACKEND_NAMES)} (specs: {', '.join(BACKEND_SPECS)})"
-        )
-    return name
+    name, colon, count = spec.partition(":")
+    if name in ("memory", "columnar") and not colon:
+        return name, None
+    if name == "sharded":
+        if not colon:
+            return name, 2
+        if count.isascii() and count.isdigit() and int(count) >= 1:
+            return name, int(count)
+    raise BackendError(
+        f"unknown backend {spec!r}: valid names are "
+        f"{', '.join(BACKEND_NAMES)} (specs: {', '.join(BACKEND_SPECS)}, "
+        "with N >= 1)"
+    )
 
 
-def _parse_sharded_spec(rest: str, spec: str) -> tuple[int, bool]:
-    """``(n_shards, parallel)`` from the part after ``sharded:``."""
-    if not rest:
-        return 2, False
-    count, _, mode = rest.partition(":")
-    try:
-        n_shards = int(count)
-    except ValueError:
-        raise BackendError(
-            f"bad sharded spec {spec!r}: shard count {count!r} is not an "
-            "integer (expected 'sharded:<N>' or 'sharded:<N>:parallel')"
-        ) from None
-    if n_shards < 1:
-        raise BackendError(f"bad sharded spec {spec!r}: need at least 1 shard")
-    if mode not in ("", "serial", "parallel"):
-        raise BackendError(
-            f"bad sharded spec {spec!r}: mode {mode!r} is not 'serial' or "
-            "'parallel'"
-        )
-    return n_shards, mode == "parallel"
+def resolve_backend_name(spec: str | None = None) -> str:
+    """The backend name ``spec`` selects, honoring ``REPRO_BACKEND``."""
+    return _parse_spec(spec)[0]
 
 
 def make_backend(spec=None) -> Backend:
     """Build a backend from a spec: an instance (returned as-is),
-    ``"memory"``, ``"sharded:<N>"``, ``"sharded:<N>:parallel"``,
-    ``"columnar"``, or ``None`` (defer to the ``REPRO_BACKEND``
-    environment variable, default memory)."""
+    ``"memory"``, ``"sharded"``, ``"sharded:<N>"``, ``"columnar"``, or
+    ``None`` (defer to the ``REPRO_BACKEND`` environment variable,
+    default memory)."""
     if isinstance(spec, Backend):
         return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "memory"
-    name, _, rest = spec.partition(":")
-    if name == "memory":
-        return MemoryBackend()
+    name, n_shards = _parse_spec(spec)
     if name == "sharded":
         from repro.backends.sharded import ShardedBackend
 
-        n_shards, parallel = _parse_sharded_spec(rest, spec)
-        return ShardedBackend(n_shards, parallel=parallel)
+        return ShardedBackend(n_shards)
     if name == "columnar":
         from repro.backends.columnar import ColumnarBackend
 
         return ColumnarBackend()
-    raise BackendError(
-        f"unknown backend {spec!r}: valid names are "
-        f"{', '.join(BACKEND_NAMES)} (specs: {', '.join(BACKEND_SPECS)})"
-    )
+    return MemoryBackend()

@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_flag(sub) -> None:
-    from repro.backends import BACKEND_NAMES
+    from repro.backends import BACKEND_SPECS
 
     sub.add_argument(
         "--backend",
@@ -338,8 +338,7 @@ def _add_backend_flag(sub) -> None:
         type=_backend_spec,
         default=None,
         help="execution backend for the maintained warehouse: one of "
-        f"{', '.join(BACKEND_NAMES)}, optionally parameterized "
-        "('sharded:<N>', 'sharded:<N>:parallel'); "
+        f"{', '.join(BACKEND_SPECS)}; "
         "default: the REPRO_BACKEND environment variable, else memory",
     )
 
@@ -442,20 +441,13 @@ def _cmd_derive(args) -> int:
 def _cmd_explain(args) -> int:
     database, view = _load(args)
     if args.analyze:
-        from repro.plan.explain import (
-            maintainer_plan_report,
-            merged_stats_annotator,
-        )
+        from repro.plan.explain import maintainer_plan_report, stats_annotator
         from repro.plan.planner import evaluate_view
 
         warehouse, __ = _run_stream(database, view, args)
         evaluate_view(view, database)  # give the evaluation plan a run too
         maintainer = warehouse.maintainer(view.name)
-        print(
-            maintainer_plan_report(
-                maintainer, database, merged_stats_annotator(maintainer)
-            )
-        )
+        print(maintainer_plan_report(maintainer, database, stats_annotator))
         print(
             f"\n(observed over {args.transactions} synthetic transactions, "
             f"seed {args.seed}; nodes without an 'actual:' note never ran)"

@@ -347,10 +347,7 @@ def make_materialization(aux: AuxiliaryView) -> AuxMaterialization:
 
 
 def processing_order(graph: ExtendedJoinGraph) -> tuple[str, ...]:
-    """Tables root-to-leaves (deletion order; reversed for insertions).
-
-    Module-level so execution backends (the sharded backend's worker
-    processes) can rebuild the same order from the same join graph."""
+    """Tables root-to-leaves (deletion order; reversed for insertions)."""
     order: list[str] = []
     stack = [graph.root]
     while stack:
@@ -962,9 +959,8 @@ class SelfMaintainer:
         log.record(lambda s=domains: self._stats.restore_domains(s))
         self._stats.invalidate()
         # The backend's scope opens next, below every materialization
-        # inverse, so its restore (e.g. the parallel sharded workers'
-        # rollback) runs after every materialization inverse (and before
-        # the catalog's).
+        # inverse, so any restore it registers runs after every
+        # materialization inverse (and before the catalog's).
         self.backend.begin_transaction(log)
         for materialization in self._materializations.values():
             materialization.begin_undo(log)
@@ -1211,9 +1207,7 @@ class SelfMaintainer:
         pipeline, keyed ``'+table'``/``'-table'``.  The accumulators live
         on the cached plan nodes, so after a transaction stream this is
         the full observed-cardinality profile of the maintenance work
-        (see ``explain --analyze``).  Backends that execute plans
-        elsewhere (a sharded pool's workers) merge their observations in
-        via :meth:`~repro.backends.base.Backend.merge_runtime_stats`."""
+        (see ``explain --analyze``)."""
         stats = {
             ("+" if sign > 0 else "-") + table: plans.runtime_stats()
             for (table, sign), plans in sorted(self._delta_plans.items())
@@ -1224,7 +1218,7 @@ class SelfMaintainer:
             stats.setdefault(
                 ("+" if sign > 0 else "-") + table, plans.runtime_stats()
             )
-        return self.backend.merge_runtime_stats(self.view.name, stats)
+        return stats
 
     @property
     def stats_catalog(self) -> StatsCatalog:

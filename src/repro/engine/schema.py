@@ -143,11 +143,6 @@ class Schema:
             cached = self._hash = hash(self._attributes)
         return cached
 
-    def __reduce__(self):
-        # Rebuild from the attribute tuple alone: the lazy coercer cache
-        # holds closures, which must not cross worker pickle pipes.
-        return (Schema, (self._attributes,))
-
     def __repr__(self) -> str:  # pragma: no cover - display helper
         names = ", ".join(a.qualified_name for a in self._attributes)
         return f"Schema({names})"

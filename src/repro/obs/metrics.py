@@ -31,8 +31,7 @@ the registry itself locks metric creation.  The one deliberate
 exception is counter *groups*: their zero-copy contract (plain
 ``Counter`` arithmetic on the hot path) rules out per-increment
 locking, so they stay single-writer and exporters copy them with a
-bounded retry against dict-resize races.  Locks never cross the worker
-pipe — pickling drops and recreates them.
+bounded retry against dict-resize races.
 """
 
 from __future__ import annotations
@@ -126,28 +125,7 @@ def _copy_counter(group: Counter) -> Counter:
     return Counter(dict(group.items()))  # pragma: no cover - last resort
 
 
-class _LockedStateMixin:
-    """Pickle support for slotted metrics carrying a ``_lock``: the lock
-    is dropped on the way out (registries cross the sharded backend's
-    worker pipes) and recreated on the way in."""
-
-    __slots__ = ()
-
-    def __getstate__(self):
-        with self._lock:
-            return {
-                slot: getattr(self, slot)
-                for slot in self.__slots__
-                if slot != "_lock"
-            }
-
-    def __setstate__(self, state):
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._lock = threading.Lock()
-
-
-class CounterMetric(_LockedStateMixin):
+class CounterMetric:
     """A monotonically increasing count (thread-safe)."""
 
     __slots__ = ("name", "labels", "value", "_lock")
@@ -165,7 +143,7 @@ class CounterMetric(_LockedStateMixin):
             self.value += amount
 
 
-class Gauge(_LockedStateMixin):
+class Gauge:
     """A point-in-time value (set, not accumulated; thread-safe)."""
 
     __slots__ = ("name", "labels", "value", "_lock")
@@ -184,7 +162,7 @@ class Gauge(_LockedStateMixin):
             self.value += amount
 
 
-class Histogram(_LockedStateMixin):
+class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max.
 
     ``bounds`` are upper-inclusive bucket edges; one overflow bucket
@@ -337,7 +315,7 @@ def _round_or_none(value: float | None, digits: int = 4) -> float | None:
     return None if value is None else round(value, digits)
 
 
-class MetricsRegistry(_LockedStateMixin):
+class MetricsRegistry:
     """All metrics of one component, keyed by ``(name, labels)``."""
 
     __slots__ = ("_counters", "_gauges", "_histograms", "_groups", "_lock")

@@ -24,10 +24,10 @@ W3C-style ``traceparent`` (``00-<trace>-<span>-01``) naming the
 innermost open span.  A context can seed a new trace in another thread
 or process (``Tracer.begin(parent=...)`` / ``Tracer.parented``), the
 resulting child traces are reassembled into one tree with
-:func:`stitch_traces`, and serialized subtrees from worker processes
-are re-parented in place with :meth:`Trace.graft` — that is how a
-served apply renders HTTP request → queue batch → per-shard worker
-spans as one connected tree.
+:func:`stitch_traces` (which re-parents each child's serialized
+subtree with :meth:`Trace.graft`) — that is how a served apply renders
+HTTP request → queue batch → transaction → per-shard spans as one
+connected tree.
 
 Sampling is head-based (1-in-N), but failures are never invisible: by
 default an unsampled transaction still records into a *shadow* trace
@@ -268,15 +268,13 @@ class Trace:
         self,
         records: Sequence[dict],
         parent: Span | None = None,
-        shard: int | None = None,
     ) -> dict[int, int]:
         """Append a serialized span subtree (another trace's
         :meth:`to_dicts`, pre-order) under ``parent`` (default: the
         innermost open span).  Span ids are remapped into this trace's
-        id space, subtree roots are re-parented onto ``parent``, start
-        times are clock-aligned to the graft point, and ``shard`` (when
-        given) labels every grafted span that does not carry one.
-        Returns the old→new span-id mapping."""
+        id space, subtree roots are re-parented onto ``parent``, and
+        start times are clock-aligned to the graft point.  Returns the
+        old→new span-id mapping."""
         if parent is None:
             parent = self._stack[-1] if self._stack else self.root
         offset = parent.start_ms
@@ -292,8 +290,6 @@ class Trace:
             else:
                 span.parent_id = parent.span_id
             span.start_ms += offset
-            if shard is not None and span.shard is None:
-                span.shard = shard
             id_map[old_id] = span.span_id
             grafted.append(span)
         self.spans.extend(grafted)
@@ -536,7 +532,7 @@ def stitch_traces(traces: Sequence[Trace]) -> list[Trace]:
     child trace under the exact span its context names, returning the
     roots (traces whose parent is absent stay roots).  Inputs are not
     mutated.  This is how one served apply — request trace, queue batch
-    trace, per-view transaction traces, per-shard worker subtrees — is
+    trace, per-view transaction traces with their per-shard spans — is
     reassembled into a single connected tree."""
     by_hex: dict[str, Trace] = {}
     for trace in traces:

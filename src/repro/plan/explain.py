@@ -82,60 +82,6 @@ def stats_annotator(node) -> str | None:
     return node.stats.describe()
 
 
-def _describe_record(record: dict) -> str | None:
-    """Render one backend-merged runtime-stats record the way
-    :meth:`ActualStats.describe` renders a live accumulator."""
-    if not record["executions"] and not record["reuses"]:
-        return None
-    parts = [
-        f"actual: execs={record['executions']}",
-        f"rows={record['rows_out']}",
-        f"mean={record['mean_rows_out']:.1f}",
-        f"time={record['total_ms']:.2f}ms",
-    ]
-    if record["reuses"]:
-        parts.append(f"reuses={record['reuses']}")
-    return " ".join(parts)
-
-
-def merged_stats_annotator(maintainer):
-    """A stats annotator backed by :meth:`SelfMaintainer.runtime_stats`
-    — the *backend-merged* observations — instead of the parent
-    process's live accumulators.
-
-    Under a parallel sharded backend the parent only observes stage
-    roots (each worker executes the inner plan nodes on its own
-    partition), so ``explain --analyze`` must fold every shard's
-    per-node statistics together rather than report shard 0's numbers.
-    Nodes without a merged record (the evaluation plan, never-run
-    shapes) fall back to their live accumulators."""
-    merged = maintainer.runtime_stats()
-    by_node: dict[int, dict] = {}
-    for table in maintainer.view.tables:
-        for sign in (+1, -1):
-            records = merged.get(("+" if sign > 0 else "-") + table)
-            if not records:
-                continue
-            index: dict[str, list[dict]] = {}
-            for record in records:
-                index.setdefault(record["label"], []).append(record)
-            used: dict[str, int] = {}
-            for node in maintainer.delta_plans(table, sign).walk():
-                position = used.get(node.label, 0)
-                used[node.label] = position + 1
-                matches = index.get(node.label, [])
-                if position < len(matches):
-                    by_node[id(node)] = matches[position]
-
-    def annotator(node) -> str | None:
-        record = by_node.get(id(node))
-        if record is None:
-            return stats_annotator(node)
-        return _describe_record(record)
-
-    return annotator
-
-
 def combine_annotators(*annotators):
     """One annotator joining the non-empty notes of several."""
 

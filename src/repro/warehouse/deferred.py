@@ -142,9 +142,9 @@ class DeferredMaintainer:
         return self._inner.detail_size_bytes()
 
     def close(self) -> None:
-        """Release the wrapped maintainer's backend resources (database
-        handles, sharded worker processes).  Buffered transactions are
-        *not* flushed — call :meth:`refresh` first if they must land."""
+        """Release the wrapped maintainer's backend resources.  Buffered
+        transactions are *not* flushed — call :meth:`refresh` first if
+        they must land."""
         self._inner.backend.close()
 
     def __enter__(self) -> "DeferredMaintainer":

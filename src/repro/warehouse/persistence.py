@@ -102,7 +102,12 @@ def restore_warehouse(
 ) -> Warehouse:
     """Rebuild a warehouse from view definitions plus a checkpoint."""
     _check_format(checkpoint)
-    recorded = set(checkpoint["views"])
+    states = checkpoint.get("views")
+    if not isinstance(states, Mapping):
+        raise SelfMaintenanceError(
+            "checkpoint has no 'views' object (not a warehouse checkpoint?)"
+        )
+    recorded = set(states)
     supplied = set(views)
     if recorded != supplied:
         raise SelfMaintenanceError(
@@ -111,7 +116,7 @@ def restore_warehouse(
         )
     warehouse = Warehouse(catalog)
     for name, view in views.items():
-        state = checkpoint["views"][name]
+        state = states[name]
         maintainer = SelfMaintainer(
             view,
             catalog,
@@ -187,7 +192,11 @@ def _check_quiescent(maintainer: SelfMaintainer) -> None:
         )
 
 
-def _check_format(checkpoint: Mapping) -> None:
+def _check_format(checkpoint) -> None:
+    if not isinstance(checkpoint, Mapping):
+        raise SelfMaintenanceError(
+            f"checkpoint is a JSON {type(checkpoint).__name__}, not an object"
+        )
     version = checkpoint.get("format")
     if version != FORMAT_VERSION:
         raise SelfMaintenanceError(

@@ -84,14 +84,13 @@ class Warehouse:
         instance is shared by every view registered here, so a
         warehouse transaction is one backend transaction.
         ``events`` is the structured :class:`~repro.obs.log.EventLog`
-        every maintainer (and the backend) narrates into — one log per
-        warehouse, trace-correlated; a default bounded log is created
-        when none is supplied."""
+        every maintainer narrates into — one log per warehouse,
+        trace-correlated; a default bounded log is created when none is
+        supplied."""
         self._database = database
         self.tracer = tracer
         self.events = events if events is not None else EventLog()
         self._backend = make_backend(backend)
-        self._backend.bind_observability(events=self.events)
         self._maintainers: dict[str, SelfMaintainer] = {}
         self._shared_selection: frozenset | None = None
         self._last_shared_cache: SharedPlanCache | None = None
@@ -249,8 +248,7 @@ class Warehouse:
         return self._backend
 
     def close(self) -> None:
-        """Release the backend's resources (database handles, the
-        sharded backend's worker processes)."""
+        """Release the backend's resources."""
         self._backend.close()
 
     def __enter__(self) -> "Warehouse":

@@ -347,7 +347,8 @@ class TestBackendSelection:
         assert "unknown backend 'parquet:/tmp/x'" in message
         for name in BACKEND_NAMES:
             assert name in message
-        assert "sharded:<N>[:parallel]" in message
+        assert "sharded:<N>" in message
+        assert "parallel" not in message
 
     def test_sqlite_is_not_a_runtime_backend(self):
         assert BACKEND_NAMES == ("memory", "sharded", "columnar")

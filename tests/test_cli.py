@@ -305,6 +305,19 @@ class TestDoctorCommand:
             for check in report["checks"]
         )
 
+    def test_malformed_checkpoint_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text("[1]")
+        code = main(
+            ["doctor", "--retail", "--transactions", "6",
+             "--checkpoint", str(path), "--json"]
+        )
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "unhealthy"
+        by_name = {check["name"]: check for check in report["checks"]}
+        assert by_name["checkpoint-staleness"]["status"] == "fail"
+
 
 class TestTopCommand:
     def test_once_renders_a_live_server(self, capsys):

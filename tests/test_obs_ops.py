@@ -5,7 +5,7 @@ PR's operational surface: the structured :class:`EventLog`, rolling
 :class:`SLOTracker` budgets, ``repro doctor`` self-checks, the
 ``repro top`` exposition parser/renderer, trace schema v2 (with v1
 compatibility), trace-context propagation across the apply queue and
-sharded worker processes, and thread-safety of the metrics registry
+the sharded backend's shards, and thread-safety of the metrics registry
 under concurrent scrape load.
 """
 
@@ -263,6 +263,16 @@ class TestDoctor:
         assert report.exit_code == 2
         warehouse.close()
 
+    def test_malformed_checkpoint_fails(self, tmp_path):
+        warehouse = _warehouse()
+        path = tmp_path / "f.json"
+        path.write_text("[1]")
+        report = run_doctor(warehouse, checkpoint_path=path)
+        by_name = {check.name: check for check in report.checks}
+        assert by_name["checkpoint-staleness"].status == "fail"
+        assert report.status == "unhealthy" and report.exit_code == 2
+        warehouse.close()
+
     def test_checkpoint_fresh_then_stale(self, tmp_path):
         warehouse = _warehouse()
         warehouse.apply(_insert(100))
@@ -385,23 +395,24 @@ class TestTraceSchema:
 
     def test_graft_remaps_ids_and_labels_shards(self):
         parent = Trace(0, "stage")
-        child = Trace(0, "shard-work", kind="shard")
-        with child.span("inner", kind="plan"):
-            pass
+        child = Trace(0, "txn:v")
+        with child.span("shard:1", kind="shard", shard=1):
+            with child.span("inner", kind="plan"):
+                pass
         child.finish()
-        with parent.span("broadcast", kind="plan") as anchor:
-            id_map = parent.graft(child.to_dicts(), shard=1)
+        with parent.span("batch", kind="queue") as anchor:
+            id_map = parent.graft(child.to_dicts())
         parent.finish()
         ids = {span.span_id for span in parent.spans}
         assert len(ids) == len(parent.spans)  # no collisions after remap
         grafted_root = parent.spans[id_map[0]]
         assert grafted_root.parent_id == anchor.span_id
-        assert all(
-            parent.spans[new].shard == 1 for new in id_map.values()
-        )
-        # Inner parent/child structure is preserved under new ids.
-        inner = parent.spans[id_map[1]]
-        assert inner.parent_id == grafted_root.span_id
+        # Inner parent/child structure and shard labels survive the remap.
+        shard = parent.spans[id_map[1]]
+        inner = parent.spans[id_map[2]]
+        assert shard.parent_id == grafted_root.span_id
+        assert inner.parent_id == shard.span_id
+        assert shard.shard == 1
 
     def test_stitch_traces_builds_one_tree(self):
         tracer = Tracer()
@@ -491,7 +502,7 @@ class TestMetricsThreadSafety:
 
 
 # ---------------------------------------------------------------------------
-# Trace propagation across the apply queue and sharded workers.
+# Trace propagation across the apply queue and the shards.
 # ---------------------------------------------------------------------------
 
 
@@ -554,57 +565,38 @@ def _span_names(tracer, kind: str) -> set[str]:
 
 
 class TestShardedPropagation:
-    def test_serial_and_parallel_trace_the_same_maintenance(self):
-        """Differential: both execution modes must trace the same
-        transaction structure (same phases, overlapping plan work) —
-        only the shard-fanout shape may differ (the serial runner
-        collapses replicated stages into one ``replicated`` span)."""
+    def test_shard_spans_join_the_transaction_tree(self):
+        """Every ``shard:<k>``/``replicated`` span and the plan spans
+        nested in them hang off the transaction tree: no orphan parents."""
         transactions = [_insert(100), _insert(101, time=2, product=2)]
-        phases: list[set[str]] = []
-        plans: list[set[str]] = []
-        for parallel in (False, True):
-            backend = ShardedBackend(n_shards=2, parallel=parallel)
-            warehouse = _warehouse(tracer=Tracer(), backend=backend)
-            try:
-                for transaction in transactions:
-                    warehouse.apply(transaction)
-                    warehouse.database.apply(transaction)
-                assert_matches_recomputation(
-                    warehouse.maintainer("product_sales"), warehouse.database
-                )
-                phases.append(_span_names(warehouse.tracer, "phase"))
-                plans.append(_span_names(warehouse.tracer, "plan"))
-                shard_names = _span_names(warehouse.tracer, "shard")
-                assert shard_names & {"shard:0", "shard:1", "replicated"}
-            finally:
-                warehouse.close()
-        assert phases[0] == phases[1]
-        assert phases[0]  # the differential is vacuous if nothing traced
-        assert plans[0] & plans[1]  # the routed stages run identically
-
-    def test_parallel_worker_spans_join_the_transaction_tree(self):
-        backend = ShardedBackend(n_shards=2, parallel=True)
-        warehouse = _warehouse(tracer=Tracer(), backend=backend)
+        warehouse = _warehouse(tracer=Tracer(), backend=ShardedBackend(2))
         try:
-            warehouse.apply(_insert(100))
-            trace = warehouse.tracer.last
-            assert trace is not None
-            shard_spans = [s for s in trace.spans if s.kind == "shard"]
-            assert shard_spans, "no worker spans grafted into the trace"
-            assert {s.shard for s in shard_spans} <= {0, 1}
-            ids = {span.span_id for span in trace.spans}
-            assert all(
-                s.parent_id in ids
-                for s in trace.spans
-                if s.parent_id is not None
+            for transaction in transactions:
+                warehouse.apply(transaction)
+                warehouse.database.apply(transaction)
+            assert_matches_recomputation(
+                warehouse.maintainer("product_sales"), warehouse.database
             )
-            # Worker-side plan spans carry their shard label through
-            # the pipe round trip.
-            inner = [
-                s for s in trace.spans
-                if s.kind == "plan" and s.shard is not None
-            ]
-            assert inner
+            assert _span_names(warehouse.tracer, "phase")
+            assert _span_names(warehouse.tracer, "shard") & {
+                "shard:0", "shard:1", "replicated"
+            }
+            for trace in warehouse.tracer.traces:
+                by_id = {span.span_id: span for span in trace.spans}
+                assert all(
+                    span.parent_id in by_id
+                    for span in trace.spans
+                    if span.parent_id is not None
+                ), f"orphan span in {trace.label}"
+                shard_spans = [s for s in trace.spans if s.kind == "shard"]
+                assert {s.shard for s in shard_spans} <= {0, 1, None}
+                # Plan spans run inside a shard span nest under it.
+                shard_ids = {s.span_id for s in shard_spans}
+                nested = [
+                    s for s in trace.spans
+                    if s.kind == "plan" and s.parent_id in shard_ids
+                ]
+                assert not shard_spans or nested
         finally:
             warehouse.close()
 
@@ -616,7 +608,7 @@ class TestShardedPropagation:
 
 class TestServingConnectedTree:
     def test_served_apply_renders_one_connected_tree(self):
-        backend = ShardedBackend(n_shards=2, parallel=True)
+        backend = ShardedBackend(n_shards=2)
         warehouse = _warehouse(tracer=Tracer(), backend=backend)
         service = WarehouseService(warehouse)
         service.start()

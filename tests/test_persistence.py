@@ -115,6 +115,12 @@ class TestMaintainerCheckpoint:
         with pytest.raises(SelfMaintenanceError, match="format"):
             restore_maintainer(view, catalog_only(database), {"format": 99})
 
+    def test_non_object_checkpoint_rejected(self):
+        database = paper_database()
+        view = product_sales_view(1997)
+        with pytest.raises(SelfMaintenanceError, match="not an object"):
+            restore_maintainer(view, catalog_only(database), [1])
+
 
 class TestWarehouseCheckpoint:
     def make_warehouse(self, database):
@@ -229,6 +235,17 @@ class TestWarehouseCheckpoint:
                 {"product_sales": product_sales_view(1997)},
                 catalog_only(database),
                 checkpoint,
+            )
+
+    @pytest.mark.parametrize("text", ['{"format": 1}', '{"format": 1, "views": [1]}'])
+    def test_checkpoint_without_views_object_rejected(self, tmp_path, text):
+        path = tmp_path / "warehouse.json"
+        path.write_text(text)
+        with pytest.raises(SelfMaintenanceError, match="'views'"):
+            load_warehouse(
+                {"product_sales": product_sales_view(1997)},
+                catalog_only(paper_database()),
+                path,
             )
 
     def test_restore_never_reads_tuples(self):
