@@ -5,8 +5,8 @@ streams against maintainers over identically-built retail warehouses;
 this module owns that common machinery — the scale configurations, the
 benchmark view, the stream generator, the replay loop, and the
 equivalence and histogram helpers — so the per-benchmark files only
-differ in *what* they compare (memory vs columnar, 1 shard vs N,
-adaptive vs frozen planning).
+differ in *what* they compare (memory vs columnar, adaptive vs frozen
+planning).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def make_stream(
 
     ``hot_key_fraction`` skews fresh insertions: that fraction of new
     rows lands on one fixed ``(time, product)`` combination — i.e. one
-    group of the view, hence one shard of a partitioned backend.  The
+    group of the view.  The
     default 0.0 draws keys uniformly (and consumes no extra randomness,
     so existing benchmark streams are unchanged).
     """

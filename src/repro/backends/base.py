@@ -21,12 +21,8 @@ import os
 
 from repro.plan.executor import ExecutionContext
 
-#: Backends selectable by name (``sharded`` also accepts ``sharded:<N>``).
-BACKEND_NAMES = ("memory", "sharded", "columnar")
-
-#: The spec forms the backends accept, for error messages and ``--help``
-#: text.
-BACKEND_SPECS = ("memory", "sharded", "sharded:<N>", "columnar")
+#: Backends selectable by name.
+BACKEND_NAMES = ("memory", "columnar")
 
 #: Environment variable consulted when no backend is given explicitly.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -41,21 +37,6 @@ class Backend:
 
     name = "abstract"
 
-    def prepare_view(
-        self,
-        view,
-        database,
-        graph,
-        aux_set,
-        namespace: str = "",
-        append_only: bool = False,
-    ) -> None:
-        """Called once per maintained view, *before* any
-        :meth:`make_materialization` for it: backends that need
-        view-level physical decisions (e.g. the sharded backend's
-        routing, derived from the join graph) hook in here.  The default
-        is a no-op."""
-
     def make_materialization(self, aux, namespace="", **_ignored):
         """A live materialization of auxiliary view ``aux`` on this
         backend (the object :class:`~repro.core.maintenance.SelfMaintainer`
@@ -68,11 +49,6 @@ class Backend:
 
     def run_plan(self, node, ctx: ExecutionContext):
         """Execute one physical stage root against ``ctx``'s bindings."""
-        raise NotImplementedError
-
-    def execute_view_plan(self, plan, database):
-        """Evaluate a :class:`~repro.plan.planner.ViewPlan` from base
-        tables (recomputation, not maintenance)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -97,13 +73,6 @@ class Backend:
         nothing physical to report beyond the plans themselves."""
         return None
 
-    def metrics_registry(self):
-        """A snapshot :class:`~repro.obs.metrics.MetricsRegistry` of
-        backend-level metrics (e.g. shard routing skew), or ``None``
-        when the backend keeps none.  Merged into
-        :meth:`Warehouse.metrics_registry`."""
-        return None
-
     def close(self) -> None:
         """Release backend resources."""
 
@@ -121,53 +90,28 @@ class MemoryBackend(Backend):
     def run_plan(self, node, ctx: ExecutionContext):
         return node.run(ctx)
 
-    def execute_view_plan(self, plan, database):
-        return plan.physical.run(ExecutionContext(resolver=database.relation))
-
-
-def _parse_spec(spec: str | None = None) -> tuple[str, int | None]:
-    """``(name, n_shards)`` for a backend spec, honoring
-    ``REPRO_BACKEND`` when ``spec`` is None (default memory).
-
-    The only accepted forms are ``memory``, ``columnar``, ``sharded``
-    and ``sharded:<N>`` with N >= 1 (``n_shards`` is None for the
-    unsharded backends); anything else raises :class:`BackendError`
-    listing the valid specs."""
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or "memory"
-    name, colon, count = spec.partition(":")
-    if name in ("memory", "columnar") and not colon:
-        return name, None
-    if name == "sharded":
-        if not colon:
-            return name, 2
-        if count.isascii() and count.isdigit() and int(count) >= 1:
-            return name, int(count)
-    raise BackendError(
-        f"unknown backend {spec!r}: valid names are "
-        f"{', '.join(BACKEND_NAMES)} (specs: {', '.join(BACKEND_SPECS)}, "
-        "with N >= 1)"
-    )
-
 
 def resolve_backend_name(spec: str | None = None) -> str:
-    """The backend name ``spec`` selects, honoring ``REPRO_BACKEND``."""
-    return _parse_spec(spec)[0]
+    """The backend name ``spec`` selects, honoring ``REPRO_BACKEND``
+    when ``spec`` is None (default memory).  Anything but one of
+    :data:`BACKEND_NAMES` raises :class:`BackendError` listing them."""
+    if spec is None:
+        spec = os.environ.get(BACKEND_ENV) or "memory"
+    if spec not in BACKEND_NAMES:
+        raise BackendError(
+            f"unknown backend {spec!r}: valid names are "
+            f"{', '.join(BACKEND_NAMES)}"
+        )
+    return spec
 
 
 def make_backend(spec=None) -> Backend:
     """Build a backend from a spec: an instance (returned as-is),
-    ``"memory"``, ``"sharded"``, ``"sharded:<N>"``, ``"columnar"``, or
-    ``None`` (defer to the ``REPRO_BACKEND`` environment variable,
-    default memory)."""
+    ``"memory"``, ``"columnar"``, or ``None`` (defer to the
+    ``REPRO_BACKEND`` environment variable, default memory)."""
     if isinstance(spec, Backend):
         return spec
-    name, n_shards = _parse_spec(spec)
-    if name == "sharded":
-        from repro.backends.sharded import ShardedBackend
-
-        return ShardedBackend(n_shards)
-    if name == "columnar":
+    if resolve_backend_name(spec) == "columnar":
         from repro.backends.columnar import ColumnarBackend
 
         return ColumnarBackend()

@@ -28,9 +28,7 @@ batch instead of once per row per node:
 
 ``NeighborRestrictNode``\\ s are deliberately skipped when fusing: every
 restriction they encode reappears as an equijoin condition on the same
-pair (the same equivalence :mod:`repro.backends.sqlgen` documents for
-the generated-SQL lowering), and probing the maintained rid index is
-the restriction.
+pair, and probing the maintained rid index is the restriction.
 
 Rollback integrates with the shared :class:`~repro.engine.undolog.UndoLog`
 at batch granularity: each ``apply`` records *one* closure that
@@ -801,11 +799,6 @@ class ColumnarBackend(Backend):
         if aux.is_compressed:
             return ColumnarCompressedStore(aux)
         return ColumnarProjectionStore(aux)
-
-    def execute_view_plan(self, plan, database):
-        # One-time loads and recomputation carry no delta batch to fuse
-        # over; the interpreter is the right tool.
-        return plan.physical.run(ExecutionContext(resolver=database.relation))
 
     def describe(self, namespace: str = "") -> str | None:
         return (

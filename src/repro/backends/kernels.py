@@ -3,12 +3,10 @@
 This module is deliberately free of plan-node knowledge: it provides
 the *data layout* (:class:`ColumnStore` — one typed column per schema
 attribute, a liveness mask, and a free list of recycled row ids) and
-the *batch operators* the columnar backend fuses plans into —
-selection vectors, hash equijoin/semijoin/antijoin via key-vector
-probes, and the distributive aggregate fold over the reconstructor's
-:class:`~repro.core.rewrite.SymbolicProgram`.  Everything operates on
-whole delta batches; per-row work is a few dict probes and list
-appends, never an interpreter dispatch.
+the selection-vector operators the columnar backend's local stage runs
+over whole delta batches.  The join probes and the aggregate fold are
+fused into the backend's compiled kernels
+(:mod:`repro.backends.columnar`).
 
 Type mapping (chosen for bit-identical parity with the row engine):
 
@@ -29,7 +27,6 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.rewrite import AggregateCategory, GroupAccumulator, SymbolicProgram
 from repro.engine.schema import Schema
 from repro.engine.types import AttributeType
 
@@ -127,120 +124,3 @@ def selection_vector(
 def gather(rows: Sequence[tuple], selection: Sequence[int]) -> list[tuple]:
     """Materialize a selection vector back into a row batch."""
     return [rows[i] for i in selection]
-
-
-def build_key_index(
-    rows: Sequence[tuple], positions: Sequence[int]
-) -> dict:
-    """``key -> [row positions]`` over ``rows`` (the key-vector index
-    every hash join kernel probes).  Single-column keys index the bare
-    value, multi-column keys a tuple — matching the probe side."""
-    index: dict = {}
-    if len(positions) == 1:
-        position = positions[0]
-        for i, row in enumerate(rows):
-            index.setdefault(row[position], []).append(i)
-    else:
-        for i, row in enumerate(rows):
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(i)
-    return index
-
-
-def _probe_key(row: tuple, positions: Sequence[int]):
-    if len(positions) == 1:
-        return row[positions[0]]
-    return tuple(row[p] for p in positions)
-
-
-def hash_equijoin(
-    left_rows: Sequence[tuple],
-    right_rows: Sequence[tuple],
-    left_positions: Sequence[int],
-    right_positions: Sequence[int],
-) -> list[tuple]:
-    """Build on the right batch, probe with the left: concatenated rows."""
-    index = build_key_index(right_rows, right_positions)
-    out: list[tuple] = []
-    for row in left_rows:
-        matches = index.get(_probe_key(row, left_positions))
-        if matches:
-            for i in matches:
-                out.append(row + right_rows[i])
-    return out
-
-
-def hash_semijoin(
-    left_rows: Sequence[tuple],
-    keys,
-    left_positions: Sequence[int],
-) -> list[tuple]:
-    """Left rows with a partner in ``keys`` (a set-like of join keys)."""
-    if len(left_positions) == 1:
-        position = left_positions[0]
-        return [row for row in left_rows if row[position] in keys]
-    return [
-        row
-        for row in left_rows
-        if tuple(row[p] for p in left_positions) in keys
-    ]
-
-
-def hash_antijoin(
-    left_rows: Sequence[tuple],
-    keys,
-    left_positions: Sequence[int],
-) -> list[tuple]:
-    """Left rows with *no* partner in ``keys`` (the ▷ complement)."""
-    if len(left_positions) == 1:
-        position = left_positions[0]
-        return [row for row in left_rows if row[position] not in keys]
-    return [
-        row
-        for row in left_rows
-        if tuple(row[p] for p in left_positions) not in keys
-    ]
-
-
-def fold_groups(
-    rows: Iterable[tuple],
-    program: SymbolicProgram,
-    combiners: dict,
-    groups: dict,
-) -> int:
-    """Fold a joined batch into per-group accumulators (the distributive
-    aggregate kernel).  ``combiners`` maps extremum slots to min/max;
-    ``groups`` maps key tuples to :class:`GroupAccumulator`, exactly the
-    structure :meth:`Reconstructor.run_program` produces — the two folds
-    must stay indistinguishable for backend parity.  Returns the number
-    of rows folded."""
-    key_positions = program.key_positions
-    count_position = program.count_position
-    sum_items = program.sum_items
-    raw_items = program.raw_items
-    folded = 0
-    for row in rows:
-        folded += 1
-        key = tuple(row[p] for p in key_positions)
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = GroupAccumulator()
-        multiplicity = 1 if count_position is None else row[count_position]
-        acc.multiplicity += multiplicity
-        if sum_items:
-            sums = acc.sums
-            for slot, position, scaled in sum_items:
-                value = row[position]
-                if scaled:
-                    value = value * multiplicity
-                sums[slot] = sums.get(slot, 0) + value
-        for slot, category, position in raw_items:
-            value = row[position]
-            if category is AggregateCategory.EXTREMUM:
-                current = acc.extrema.get(slot)
-                acc.extrema[slot] = (
-                    value if current is None else combiners[slot](current, value)
-                )
-            else:
-                acc.distincts.setdefault(slot, set()).add(value)
-    return folded

@@ -55,7 +55,7 @@ Usage (``python -m repro <command> ...``)::
     python -m repro top [--url U --interval S --once]
         Live terminal dashboard over a serving /metrics endpoint:
         throughput, queue depth, read latency quantiles, planner
-        q-error, per-shard balance.
+        q-error.
 
 The observability commands and ``serve`` also run against the built-in
 retail star schema with ``--retail`` (no schema/view files needed), and
@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_flag(sub) -> None:
-    from repro.backends import BACKEND_SPECS
+    from repro.backends import BACKEND_NAMES
 
     sub.add_argument(
         "--backend",
@@ -338,7 +338,7 @@ def _add_backend_flag(sub) -> None:
         type=_backend_spec,
         default=None,
         help="execution backend for the maintained warehouse: one of "
-        f"{', '.join(BACKEND_SPECS)}; "
+        f"{', '.join(BACKEND_NAMES)}; "
         "default: the REPRO_BACKEND environment variable, else memory",
     )
 

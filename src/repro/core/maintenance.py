@@ -437,10 +437,10 @@ class SelfMaintainer:
         default ``None`` the hot path pays no tracing cost at all.
         ``backend`` selects the execution backend holding ``X`` and
         running the compiled plans: a :class:`~repro.backends.Backend`
-        instance, a name (``"memory"``, ``"columnar"``, ``"sharded:<N>"``),
-        or ``None`` to consult the ``REPRO_BACKEND`` environment
-        variable (default memory).  Delta plans are chosen per compile
-        from live cardinality statistics (join order, probe direction,
+        instance, a name (``"memory"`` or ``"columnar"``), or ``None``
+        to consult the ``REPRO_BACKEND`` environment variable (default
+        memory).  Delta plans are chosen per compile from live
+        cardinality statistics (join order, probe direction,
         restriction), with adaptive re-planning on misestimates.
         ``events`` optionally attaches a structured
         :class:`~repro.obs.log.EventLog`: the maintainer narrates
@@ -458,14 +458,6 @@ class SelfMaintainer:
         self.tracer = tracer
         self.events = events
         self._replan_ratio = replan_ratio_from_env()
-        self.backend.prepare_view(
-            view,
-            database,
-            self.graph,
-            self.aux_set,
-            namespace=view.name,
-            append_only=append_only,
-        )
         self._materializations: dict[str, AuxMaterialization] = {
             aux.table: self.backend.make_materialization(
                 aux, namespace=view.name

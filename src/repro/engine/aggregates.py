@@ -18,31 +18,24 @@ NULL and empty-group semantics vs standard SQL
 ----------------------------------------------
 
 The engine implements the paper's GPSJ model, which is deliberately
-narrower than ANSI SQL, and a SQL execution backend must bridge three
-divergences:
+narrower than ANSI SQL in three ways:
 
 * **No NULLs.**  Section 2.1 assumes NULL-free sources, and
   :meth:`~repro.engine.types.AttributeType.validate` rejects ``None``
   everywhere, so ``SUM``/``MIN``/``MAX``/``COUNT`` never see a NULL and
-  ``COUNT(column)`` ≡ ``COUNT(*)``.  Generated SQL therefore needs no
-  NULL-skipping adjustments.
+  ``COUNT(column)`` ≡ ``COUNT(*)``.
 
 * **No empty groups.**  A GPSJ group exists only if at least one tuple
   contributes, so :func:`compute_aggregate` raises on empty input.  SQL
   agrees when a ``GROUP BY`` clause is present (no contributing row,
   no group) but differs for aggregation *without* group-by: SQL yields
   one row with ``SUM``/``MIN``/``MAX = NULL`` and ``COUNT = 0`` over an
-  empty input, where the algebra yields no row at all.  The SQL
-  generator closes this gap by attaching ``HAVING COUNT(*) > 0`` to
-  group-by-free aggregations (see
-  :func:`repro.backends.sqlgen._apply_generalized_project`).
+  empty input, where the algebra yields no row at all (SQL needs
+  ``HAVING COUNT(*) > 0`` to agree).
 
 * **True division.**  ``AVG`` and explicit ``/`` are true division
-  here (Python semantics); SQLite's ``/`` truncates on INTEGER
-  operands, so the execution dialect renders ``CAST(l AS REAL) / r``
-  (see :func:`repro.backends.sqlgen.render_expression`).  ``AVG``
-  itself needs no cast: SQLite's built-in AVG is already a REAL over
-  the NULL-free inputs guaranteed above.
+  here (Python semantics), where SQL's ``/`` truncates on INTEGER
+  operands.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Polls ``/metrics`` (Prometheus text exposition) and ``/healthz`` on a
 running ``repro serve`` instance and renders the numbers an operator
 watches during a load event: apply throughput (rate between polls),
-queue depth and lag, snapshot version, read latency quantiles, planner
-q-error, and per-shard routing balance as proportional bars.
+queue depth and lag, snapshot version, read latency quantiles, and
+planner q-error.
 
 Everything here is stdlib: :func:`parse_prometheus` is a small text
 exposition parser (names, label sets, values, histogram ``_bucket``
@@ -131,22 +131,6 @@ def histogram_quantile(
     return previous_bound  # pragma: no cover - rounding guard
 
 
-def shard_shares(metrics: dict[str, list[Sample]]) -> dict[str, float]:
-    """Per-shard fraction of routed delta rows (empty: not sharded)."""
-    samples = metrics.get("repro_shard_routed_rows_total", ())
-    totals = {
-        labels.get("shard", "?"): value for labels, value in samples
-    }
-    grand = sum(totals.values())
-    if grand <= 0:
-        return {}
-    return {shard: value / grand for shard, value in sorted(totals.items())}
-
-
-def _bar(fraction: float, width: int = 20) -> str:
-    return "#" * max(0, min(width, round(fraction * width)))
-
-
 def _rate(current: float, previous: float | None, interval: float) -> float:
     if previous is None or interval <= 0:
         return 0.0
@@ -234,13 +218,6 @@ class Dashboard:
             f"  qerror_p99={_fmt(histogram_quantile(metrics, 'repro_planner_qerror', 0.99))}"
             f"  replans={metric_value(metrics, 'repro_maintenance_events_total', event='replans'):.0f}"
         )
-        shares = shard_shares(metrics)
-        if shares:
-            lines.append("shards   routed-row balance:")
-            for shard, share in shares.items():
-                lines.append(
-                    f"  shard {shard:>3}  {share * 100:5.1f}%  {_bar(share)}"
-                )
         return "\n".join(lines)
 
 

@@ -26,7 +26,7 @@ or process (``Tracer.begin(parent=...)`` / ``Tracer.parented``), the
 resulting child traces are reassembled into one tree with
 :func:`stitch_traces` (which re-parents each child's serialized
 subtree with :meth:`Trace.graft`) — that is how a served apply renders
-HTTP request → queue batch → transaction → per-shard spans as one
+HTTP request → queue batch → transaction → plan-stage spans as one
 connected tree.
 
 Sampling is head-based (1-in-N), but failures are never invisible: by
@@ -51,9 +51,10 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator, Sequence
 
-#: Version stamped on every exported span record.  Version 1 (PR 4) had
-#: no ``schema``/``ctx``/``shard`` fields; readers treat their absence
-#: as v1 and default them.
+#: Version stamped on every exported span record.  Version 1 had no
+#: ``schema``/``ctx`` fields; readers treat their absence as v1 and
+#: default them.  Readers ignore top-level keys they do not know, so
+#: older v2 files carrying a since-retired span field still load.
 TRACE_SCHEMA_VERSION = 2
 
 
@@ -76,7 +77,7 @@ class Span:
     __slots__ = (
         "span_id", "parent_id", "name", "kind", "phase", "depth",
         "start_ms", "duration_ms", "rows_in", "rows_out", "index_probes",
-        "cache_hit", "error", "shard", "attrs",
+        "cache_hit", "error", "attrs",
     )
 
     def __init__(
@@ -103,7 +104,6 @@ class Span:
         self.index_probes = 0
         self.cache_hit = False
         self.error = False
-        self.shard: int | None = attrs.pop("shard", None)
         self.attrs = attrs
 
     def to_dict(self, trace_id: int, ctx: str | None = None) -> dict:
@@ -123,7 +123,6 @@ class Span:
             "index_probes": self.index_probes,
             "cache_hit": self.cache_hit,
             "error": self.error,
-            "shard": self.shard,
             "attrs": self.attrs,
         }
 
@@ -145,7 +144,6 @@ class Span:
         span.index_probes = record["index_probes"]
         span.cache_hit = record["cache_hit"]
         span.error = record["error"]
-        span.shard = record.get("shard")
         return span
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
@@ -348,8 +346,6 @@ class Trace:
                 notes.append(f"probes={span.index_probes}")
             if span.cache_hit:
                 notes.append("cache-hit")
-            if span.shard is not None:
-                notes.append(f"shard={span.shard}")
             if span.error:
                 notes.append("ERROR")
             if span.kind == "transaction":
@@ -532,8 +528,8 @@ def stitch_traces(traces: Sequence[Trace]) -> list[Trace]:
     child trace under the exact span its context names, returning the
     roots (traces whose parent is absent stay roots).  Inputs are not
     mutated.  This is how one served apply — request trace, queue batch
-    trace, per-view transaction traces with their per-shard spans — is
-    reassembled into a single connected tree."""
+    trace, per-view transaction traces — is reassembled into a single
+    connected tree."""
     by_hex: dict[str, Trace] = {}
     for trace in traces:
         by_hex.setdefault(trace.hex_id, trace)
@@ -576,7 +572,7 @@ def stitch_traces(traces: Sequence[Trace]) -> list[Trace]:
 def read_trace_jsonl(path) -> list[Trace]:
     """Rebuild traces from a JSONL export (the round-trip inverse of
     :meth:`Tracer.export_jsonl`).  Accepts both current (``schema`` 2)
-    and PR 4 v1 records, which lack ``schema``/``ctx``/``shard``."""
+    and v1 records, which lack ``schema``/``ctx``."""
     grouped: dict[object, list[dict]] = {}
     with open(path) as handle:
         for line in handle:

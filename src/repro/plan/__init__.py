@@ -36,7 +36,6 @@ from repro.plan.physical import (
     HashAntiJoinNode,
     HashJoinNode,
     HashSemiJoinNode,
-    IndexJoinNode,
     KeyProbeSemiJoinNode,
     NeighborRestrictNode,
     PhysicalNode,
@@ -72,7 +71,6 @@ __all__ = [
     "HashAntiJoinNode",
     "HashJoinNode",
     "HashSemiJoinNode",
-    "IndexJoinNode",
     "JoinGraphDisconnected",
     "KeyProbeSemiJoinNode",
     "LogicalNode",

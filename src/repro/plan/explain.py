@@ -137,7 +137,7 @@ def explain_view_plans(view, database, backend=None) -> str:
     Builds an uninitialized maintainer — no base data is loaded or
     read, so the plans are costed against empty statistics.
     ``backend`` (a spec string or instance) adds that backend's
-    physical line, e.g. the sharded backend's derived routing.
+    physical line, e.g. the columnar backend's store layout.
     """
     from repro.core.maintenance import SelfMaintainer  # upward, lazy
 

@@ -387,34 +387,6 @@ class HashJoinNode(PhysicalNode):
         return equijoin(inputs[0], inputs[1], self.pairs)
 
 
-class IndexJoinNode(PhysicalNode):
-    """Equijoin probing a maintained :class:`RowIndex` on the right side
-    (the build phase is skipped entirely)."""
-
-    __slots__ = ("table", "pairs", "right_refs")
-
-    def __init__(
-        self,
-        left: PhysicalNode,
-        table: str,
-        pairs: tuple[tuple[str, str], ...],
-        right_refs: tuple[str, ...],
-        logical: LogicalNode | None = None,
-    ):
-        self.table = table
-        self.pairs = pairs
-        self.right_refs = right_refs
-        super().__init__((left,), f"index-join:{table}", logical)
-
-    def describe(self) -> str:
-        return f"index-join[{self.table}: {_render_pairs(self.pairs)}]"
-
-    def execute(self, ctx: ExecutionContext, inputs: list) -> Relation:
-        right = ctx.provider(self.table).relation()
-        index = right.index_on(*self.right_refs)
-        return equijoin(inputs[0], right, self.pairs, right_index=index)
-
-
 class HashSemiJoinNode(PhysicalNode):
     """``⋉`` over two computed inputs."""
 

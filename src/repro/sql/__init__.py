@@ -6,19 +6,13 @@ objects, classifying WHERE conjuncts into local conditions and key
 joins against a catalog.
 """
 
-from repro.sql.ast import CountStar, Exists, SelectStatement, TableRef
 from repro.sql.lexer import SqlLexError, Token, tokenize
-from repro.sql.parser import SqlParseError, parse_select, parse_view
+from repro.sql.parser import SqlParseError, parse_view
 
 __all__ = [
     "tokenize",
     "Token",
     "SqlLexError",
     "parse_view",
-    "parse_select",
     "SqlParseError",
-    "SelectStatement",
-    "TableRef",
-    "Exists",
-    "CountStar",
 ]

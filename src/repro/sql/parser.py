@@ -36,7 +36,6 @@ from repro.engine.expressions import (
     Or,
 )
 from repro.engine.operators import AggregateItem, GroupByItem, ProjectionItem
-from repro.sql.ast import CountStar, Exists, SelectStatement, TableRef
 from repro.sql.lexer import Token, tokenize
 
 _AGGREGATE_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -58,35 +57,11 @@ def parse_view(
     return parser.parse_statement(default_name=name)
 
 
-def parse_select(sql: str) -> SelectStatement:
-    """Parse a generic (catalog-free) SELECT into a syntactic
-    :class:`~repro.sql.ast.SelectStatement`.
-
-    This is the inverse of ``SelectStatement.to_sql()`` and covers the
-    backend-generated dialect: aliased FROM entries, ``[NOT] EXISTS``
-    subqueries as WHERE conjuncts, ``SELECT 1`` existence probes, and
-    ``COUNT(*)`` references inside HAVING.  Columns are kept exactly as
-    written (no catalog qualification).
-    """
-    parser = _Parser(tokenize(sql), None, generic=True)
-    statement = parser.parse_select_statement()
-    token = parser._peek()
-    if token.kind != "EOF":
-        raise SqlParseError(f"unexpected trailing input at {token}")
-    return statement
-
-
 class _Parser:
-    def __init__(
-        self,
-        tokens: list[Token],
-        database: Database | None,
-        generic: bool = False,
-    ):
+    def __init__(self, tokens: list[Token], database: Database):
         self._tokens = tokens
         self._pos = 0
         self._database = database
-        self._generic = generic
         self._tables: list[str] = []
 
     # ------------------------------------------------------------------
@@ -174,59 +149,6 @@ class _Parser:
         return self._assemble(name, items, conjuncts, group_by, having)
 
     # ------------------------------------------------------------------
-    # Generic (catalog-free) SELECT statements.
-    # ------------------------------------------------------------------
-
-    def parse_select_statement(self) -> SelectStatement:
-        """One generic SELECT; stops before any unconsumed ``)``/EOF."""
-        self._expect_keyword("SELECT")
-        distinct = self._match_keyword("DISTINCT")
-        items: list[ProjectionItem] = []
-        token = self._peek()
-        if token.kind == "NUMBER" and token.value == 1:
-            self._advance()  # SELECT 1 — the existence probe
-        else:
-            items.append(self._parse_select_item())
-            while self._match_punct(","):
-                items.append(self._parse_select_item())
-        self._expect_keyword("FROM")
-        tables = [self._parse_table_ref()]
-        while self._match_punct(","):
-            tables.append(self._parse_table_ref())
-        where: list[Expression] = []
-        if self._match_keyword("WHERE"):
-            where.append(self._parse_conjunct())
-            while self._match_keyword("AND"):
-                where.append(self._parse_conjunct())
-        group_by: list[Expression] = []
-        if self._match_keyword("GROUP"):
-            self._expect_keyword("BY")
-            group_by.append(self._parse_column())
-            while self._match_punct(","):
-                group_by.append(self._parse_column())
-        having: Expression | None = None
-        if self._match_keyword("HAVING"):
-            having = self._parse_having_or()
-        return SelectStatement(
-            items=tuple(items),
-            tables=tuple(tables),
-            where=tuple(where),
-            group_by=tuple(group_by),
-            having=having,
-            distinct=distinct,
-        )
-
-    def _parse_table_ref(self) -> TableRef:
-        name = self._expect_ident()
-        return TableRef(name, self._parse_alias())
-
-    def _parse_exists(self, negated: bool) -> Expression:
-        self._expect_punct("(")
-        query = self.parse_select_statement()
-        self._expect_punct(")")
-        return Exists(query, negated)
-
-    # ------------------------------------------------------------------
     # SELECT list.
     # ------------------------------------------------------------------
 
@@ -269,17 +191,6 @@ class _Parser:
         return Column(first)
 
     def _parse_conjunct(self) -> Expression:
-        if self._generic:
-            token = self._peek()
-            if token.is_keyword("EXISTS"):
-                self._advance()
-                return self._parse_exists(negated=False)
-            if token.is_keyword("NOT") and self._tokens[
-                self._pos + 1
-            ].is_keyword("EXISTS"):
-                self._advance()
-                self._advance()
-                return self._parse_exists(negated=True)
         left = self._parse_expr()
         token = self._peek()
         if token.is_keyword("IN"):
@@ -336,12 +247,6 @@ class _Parser:
 
     def _parse_factor(self) -> Expression:
         token = self._peek()
-        if self._generic and token.is_keyword("COUNT"):
-            self._advance()
-            self._expect_punct("(")
-            self._expect_punct("*")
-            self._expect_punct(")")
-            return CountStar()
         if token.kind in ("NUMBER", "STRING"):
             self._advance()
             return Literal(token.value)

@@ -79,7 +79,7 @@ class Warehouse:
         maintained view contributes its own trace per sampled call).
         ``backend`` selects where the detail data lives and how plans
         execute — a :class:`~repro.backends.Backend` instance, a name
-        (``"memory"``, ``"columnar"``, ``"sharded:<N>"``), or ``None``
+        (``"memory"`` or ``"columnar"``), or ``None``
         to consult ``REPRO_BACKEND`` (default memory); one backend
         instance is shared by every view registered here, so a
         warehouse transaction is one backend transaction.
@@ -323,9 +323,6 @@ class Warehouse:
         merged = MetricsRegistry()
         for maintainer in self._maintainers.values():
             merged.merge(maintainer.perf.registry)
-        backend_registry = self._backend.metrics_registry()
-        if backend_registry is not None:
-            merged.merge(backend_registry)
         for name, value in compilecache.cache_stats().items():
             merged.gauge(f"repro_compile_cache_{name}").set(value)
         return merged

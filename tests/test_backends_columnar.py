@@ -1,5 +1,5 @@
-"""Unit tests for the columnar backend: column stores, batch kernels,
-store materializations, and backend selection.
+"""Unit tests for the columnar backend: column stores, selection
+kernels, store materializations, and backend selection.
 
 The differential and fault-injection suites
 (:mod:`tests.test_backends_differential`) pin the integrated behavior;
@@ -14,30 +14,15 @@ import pytest
 
 from repro.backends.base import (
     BACKEND_NAMES,
-    BACKEND_SPECS,
     BackendError,
     make_backend,
     resolve_backend_name,
 )
 from repro.backends.columnar import ColumnarBackend, _ColumnarStore
-from repro.backends.kernels import (
-    ColumnStore,
-    build_key_index,
-    fold_groups,
-    gather,
-    hash_antijoin,
-    hash_equijoin,
-    hash_semijoin,
-    selection_vector,
-)
+from repro.backends.kernels import ColumnStore, gather, selection_vector
 from repro.core.derivation import derive_auxiliary_views
 from repro.core.maintenance import SelfMaintenanceError
 from repro.core.view import JoinCondition, make_view
-from repro.core.rewrite import (
-    AggregateCategory,
-    GroupAccumulator,
-    SymbolicProgram,
-)
 from repro.engine.aggregates import AggregateFunction
 from repro.engine.expressions import Column
 from repro.engine.operators import AggregateItem, GroupByItem
@@ -147,61 +132,6 @@ class TestKernels:
         selection = selection_vector(self.ROWS, lambda row: row[0] == 2)
         assert selection == [1, 3]
         assert gather(self.ROWS, selection) == [(2, 20), (2, 40)]
-
-    def test_build_key_index_single_and_multi(self):
-        assert build_key_index(self.ROWS, (0,)) == {1: [0], 2: [1, 3], 3: [2]}
-        assert build_key_index(self.ROWS, (0, 1))[(2, 20)] == [1]
-
-    def test_hash_equijoin_matches_nested_loop(self):
-        right = [(2, "x"), (3, "y"), (3, "z")]
-        expected = sorted(
-            left + r
-            for left in self.ROWS
-            for r in right
-            if left[0] == r[0]
-        )
-        assert sorted(hash_equijoin(self.ROWS, right, (0,), (0,))) == expected
-
-    def test_semijoin_and_antijoin_partition(self):
-        keys = {2, 3}
-        inside = hash_semijoin(self.ROWS, keys, (0,))
-        outside = hash_antijoin(self.ROWS, keys, (0,))
-        assert inside == [(2, 20), (3, 30), (2, 40)]
-        assert outside == [(1, 10)]
-        assert sorted(inside + outside) == sorted(self.ROWS)
-
-    def test_fold_groups_counts_sums_and_multiplicity(self):
-        # Rows: (key, value, multiplicity).
-        program = SymbolicProgram(
-            key_positions=(0,),
-            count_position=2,
-            sum_items=((1, 1, True),),  # slot 1 <- SUM(value * mult)
-            raw_items=(),
-        )
-        rows = [(1, 10, 2), (2, 5, 1), (1, 1, 3)]
-        groups: dict = {}
-        folded = fold_groups(rows, program, {}, groups)
-        assert folded == 3
-        assert groups[(1,)] == GroupAccumulator(5, {1: 23})
-        assert groups[(2,)] == GroupAccumulator(1, {1: 5})
-
-    def test_fold_groups_extrema_and_distinct(self):
-        program = SymbolicProgram(
-            key_positions=(0,),
-            count_position=None,
-            sum_items=(),
-            raw_items=(
-                (1, AggregateCategory.EXTREMUM, 1),
-                (2, AggregateCategory.DISTINCT, 1),
-            ),
-        )
-        rows = [(1, 7), (1, 3), (1, 7)]
-        groups: dict = {}
-        fold_groups(rows, program, {1: max}, groups)
-        acc = groups[(1,)]
-        assert acc.multiplicity == 3
-        assert acc.extrema == {1: 7}
-        assert acc.distincts == {2: {3, 7}}
 
 
 class TestColumnarProjectionStore:
@@ -347,22 +277,37 @@ class TestBackendSelection:
         assert "unknown backend 'parquet:/tmp/x'" in message
         for name in BACKEND_NAMES:
             assert name in message
-        assert "sharded:<N>" in message
         assert "parallel" not in message
 
     def test_sqlite_is_not_a_runtime_backend(self):
-        assert BACKEND_NAMES == ("memory", "sharded", "columnar")
+        assert BACKEND_NAMES == ("memory", "columnar")
         with pytest.raises(BackendError) as excinfo:
             make_backend("sqlite")
-        assert "valid names are memory, sharded, columnar" in str(
-            excinfo.value
-        )
+        assert "valid names are memory, columnar" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "spec", ["sharded", "sharded:3", "memory:2", "columnar:1"]
+    )
+    def test_retired_and_suffixed_specs_are_rejected(self, spec):
+        for call in (make_backend, resolve_backend_name):
+            with pytest.raises(BackendError) as excinfo:
+                call(spec)
+            assert str(excinfo.value).endswith(
+                "valid names are memory, columnar"
+            )
+
+    def test_env_variable_with_retired_spec_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sharded:3")
+        with pytest.raises(BackendError, match="valid names are memory, columnar"):
+            make_backend(None)
+        with pytest.raises(BackendError, match="'sharded:3'"):
+            resolve_backend_name(None)
 
     def test_resolve_backend_name_rejects_unknown(self):
         with pytest.raises(BackendError, match="valid names are"):
             resolve_backend_name("duckdb")
-        for spec in BACKEND_SPECS:
-            assert resolve_backend_name(spec.split(":")[0].split("[")[0])
+        for name in BACKEND_NAMES:
+            assert resolve_backend_name(name) == name
 
     def test_columnar_spec_builds_columnar_backend(self):
         backend = make_backend("columnar")

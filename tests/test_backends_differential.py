@@ -4,9 +4,7 @@ For random GPSJ views, random delta streams, and injected faults, a
 columnar-backed maintainer must be row-multiset-identical to both the
 memory backend and ground-truth recomputation — including after
 rollbacks, where the column stores' key-snapshot undo stands in for the
-interpreter's row-by-row replay.  (That the reductions are relational
-algebra, not interpreter artifacts, is checked by running the generated
-SQL on stdlib ``sqlite3`` in ``tests/test_backends_sqlgen.py``.)
+interpreter's row-by-row replay.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st

@@ -44,7 +44,7 @@ def _fail_commit_once(backend):
     return lambda: setattr(backend, "commit", original)
 
 
-BACKENDS = ["memory", "columnar", "sharded:2"]
+BACKENDS = ["memory", "columnar"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

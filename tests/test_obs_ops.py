@@ -4,9 +4,8 @@ Complements ``test_obs.py`` (metrics/tracing primitives) with the
 PR's operational surface: the structured :class:`EventLog`, rolling
 :class:`SLOTracker` budgets, ``repro doctor`` self-checks, the
 ``repro top`` exposition parser/renderer, trace schema v2 (with v1
-compatibility), trace-context propagation across the apply queue and
-the sharded backend's shards, and thread-safety of the metrics registry
-under concurrent scrape load.
+compatibility), trace-context propagation across the apply queue, and
+thread-safety of the metrics registry under concurrent scrape load.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.backends.sharded import ShardedBackend
 from repro.obs.health import SLOTracker
 from repro.obs.log import (
     EVENT_SCHEMA_VERSION,
@@ -30,7 +28,6 @@ from repro.obs.top import (
     histogram_quantile,
     metric_value,
     parse_prometheus,
-    shard_shares,
 )
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
@@ -337,20 +334,20 @@ class TestTraceSchema:
             with pytest.raises(ValueError):
                 parse_traceparent(bad)
 
-    def test_v2_records_carry_schema_ctx_and_shard(self):
-        trace = Trace(3, "txn:v", shard=None)
-        with trace.span("shard:1", kind="shard", shard=1):
+    def test_v2_records_carry_schema_and_ctx(self):
+        trace = Trace(3, "txn:v")
+        with trace.span("local-reduce", kind="phase"):
             trace.instant("probe", kind="plan")
         trace.finish()
         records = trace.to_dicts()
         assert all(r["schema"] == TRACE_SCHEMA_VERSION for r in records)
         assert all(r["ctx"] == trace.hex_id for r in records)
         by_name = {r["name"]: r for r in records}
-        assert by_name["shard:1"]["shard"] == 1
-        assert by_name["probe"]["shard"] is None
+        assert by_name["probe"]["parent"] == by_name["local-reduce"]["span"]
+        assert all("shard" not in r for r in records)
 
     def test_v1_records_still_load(self, tmp_path):
-        # A PR 4 export: no schema, no ctx, no shard fields.
+        # A v1 export: no schema, no ctx fields.
         v1 = [
             {
                 "trace": 0, "span": 0, "parent": None, "name": "txn:v",
@@ -373,9 +370,46 @@ class TestTraceSchema:
         assert len(traces) == 1
         trace = traces[0]
         assert trace.label == "txn:v" and trace.status == "ok"
-        assert [s.shard for s in trace.spans] == [None, None]
+        assert [s.name for s in trace.spans] == ["txn:v", "coalesce"]
         # Re-export stamps the current schema.
         assert trace.to_dicts()[0]["schema"] == TRACE_SCHEMA_VERSION
+
+    def test_v2_records_with_a_shard_key_still_load(self, tmp_path):
+        # Older v2 exports stamp ``"shard": null`` on every span.
+        ctx = "c" * 32
+        records = [
+            {
+                "schema": 2, "trace": 5, "ctx": ctx, "span": 0,
+                "parent": None, "name": "txn:v", "kind": "transaction",
+                "phase": "txn:v", "start_ms": 0.0, "duration_ms": 4.0,
+                "rows_in": None, "rows_out": None, "index_probes": 0,
+                "cache_hit": False, "error": False, "shard": None,
+                "attrs": {"status": "ok"},
+            },
+            {
+                "schema": 2, "trace": 5, "ctx": ctx, "span": 1,
+                "parent": 0, "name": "local-reduce", "kind": "phase",
+                "phase": "local-reduce", "start_ms": 0.5,
+                "duration_ms": 2.0, "rows_in": 8, "rows_out": 3,
+                "index_probes": 2, "cache_hit": True, "error": False,
+                "shard": None, "attrs": {},
+            },
+        ]
+        path = tmp_path / "parent-v2.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        (trace,) = read_trace_jsonl(path)
+        assert trace.hex_id == ctx and trace.status == "ok"
+        assert [(s.span_id, s.parent_id, s.name) for s in trace.spans] == [
+            (0, None, "txn:v"), (1, 0, "local-reduce"),
+        ]
+        assert trace.spans[1].attrs == {}
+        # Round trip: re-export drops the key and reloads identically.
+        exported = trace.to_dicts()
+        assert all("shard" not in r for r in exported)
+        again = tmp_path / "again.jsonl"
+        again.write_text("\n".join(json.dumps(r) for r in exported) + "\n")
+        (reloaded,) = read_trace_jsonl(again)
+        assert reloaded.to_dicts() == exported
 
     def test_v2_jsonl_round_trip_groups_by_ctx(self, tmp_path):
         tracer = Tracer()
@@ -393,10 +427,10 @@ class TestTraceSchema:
             t.hex_id for t in tracer.traces
         }
 
-    def test_graft_remaps_ids_and_labels_shards(self):
+    def test_graft_remaps_ids_parents_and_labels(self):
         parent = Trace(0, "stage")
         child = Trace(0, "txn:v")
-        with child.span("shard:1", kind="shard", shard=1):
+        with child.span("local-reduce", kind="phase"):
             with child.span("inner", kind="plan"):
                 pass
         child.finish()
@@ -407,12 +441,15 @@ class TestTraceSchema:
         assert len(ids) == len(parent.spans)  # no collisions after remap
         grafted_root = parent.spans[id_map[0]]
         assert grafted_root.parent_id == anchor.span_id
-        # Inner parent/child structure and shard labels survive the remap.
-        shard = parent.spans[id_map[1]]
+        # Inner parent/child structure and labels survive the remap.
+        phase = parent.spans[id_map[1]]
         inner = parent.spans[id_map[2]]
-        assert shard.parent_id == grafted_root.span_id
-        assert inner.parent_id == shard.span_id
-        assert shard.shard == 1
+        assert phase.parent_id == grafted_root.span_id
+        assert inner.parent_id == phase.span_id
+        assert [grafted_root.name, phase.name, inner.name] == [
+            "txn:v", "local-reduce", "inner"
+        ]
+        assert (phase.kind, inner.kind) == ("phase", "plan")
 
     def test_stitch_traces_builds_one_tree(self):
         tracer = Tracer()
@@ -502,7 +539,7 @@ class TestMetricsThreadSafety:
 
 
 # ---------------------------------------------------------------------------
-# Trace propagation across the apply queue and the shards.
+# Trace propagation across the apply queue.
 # ---------------------------------------------------------------------------
 
 
@@ -555,52 +592,6 @@ class TestQueuePropagation:
         assert warned and warned[-1].fields["max_pending"] == 1
 
 
-def _span_names(tracer, kind: str) -> set[str]:
-    return {
-        span.name
-        for trace in tracer.traces
-        for span in trace.spans
-        if span.kind == kind
-    }
-
-
-class TestShardedPropagation:
-    def test_shard_spans_join_the_transaction_tree(self):
-        """Every ``shard:<k>``/``replicated`` span and the plan spans
-        nested in them hang off the transaction tree: no orphan parents."""
-        transactions = [_insert(100), _insert(101, time=2, product=2)]
-        warehouse = _warehouse(tracer=Tracer(), backend=ShardedBackend(2))
-        try:
-            for transaction in transactions:
-                warehouse.apply(transaction)
-                warehouse.database.apply(transaction)
-            assert_matches_recomputation(
-                warehouse.maintainer("product_sales"), warehouse.database
-            )
-            assert _span_names(warehouse.tracer, "phase")
-            assert _span_names(warehouse.tracer, "shard") & {
-                "shard:0", "shard:1", "replicated"
-            }
-            for trace in warehouse.tracer.traces:
-                by_id = {span.span_id: span for span in trace.spans}
-                assert all(
-                    span.parent_id in by_id
-                    for span in trace.spans
-                    if span.parent_id is not None
-                ), f"orphan span in {trace.label}"
-                shard_spans = [s for s in trace.spans if s.kind == "shard"]
-                assert {s.shard for s in shard_spans} <= {0, 1, None}
-                # Plan spans run inside a shard span nest under it.
-                shard_ids = {s.span_id for s in shard_spans}
-                nested = [
-                    s for s in trace.spans
-                    if s.kind == "plan" and s.parent_id in shard_ids
-                ]
-                assert not shard_spans or nested
-        finally:
-            warehouse.close()
-
-
 # ---------------------------------------------------------------------------
 # Serving: one request, one connected tree.
 # ---------------------------------------------------------------------------
@@ -608,8 +599,7 @@ class TestShardedPropagation:
 
 class TestServingConnectedTree:
     def test_served_apply_renders_one_connected_tree(self):
-        backend = ShardedBackend(n_shards=2)
-        warehouse = _warehouse(tracer=Tracer(), backend=backend)
+        warehouse = _warehouse(tracer=Tracer(), backend="memory")
         service = WarehouseService(warehouse)
         service.start()
         try:
@@ -629,7 +619,6 @@ class TestServingConnectedTree:
         names = [span.name for span in tree.spans]
         assert "apply-batch" in names
         assert any(name.startswith("txn:") for name in names)
-        assert any(span.kind == "shard" for span in tree.spans)
         ids = {span.span_id for span in tree.spans}
         assert all(
             span.parent_id in ids
@@ -724,8 +713,6 @@ repro_serving_read_latency_ms_bucket{le="1"} 50
 repro_serving_read_latency_ms_bucket{le="10"} 90
 repro_serving_read_latency_ms_bucket{le="+Inf"} 100
 repro_serving_read_latency_ms_count 100
-repro_shard_routed_rows_total{shard="0"} 30
-repro_shard_routed_rows_total{shard="1"} 10
 repro_maintenance_events_total{event="replans"} 4
 repro_maintenance_events_total{event="recomputations"} 1
 with_escapes{name="a\\"b\\\\c\\nd"} 1
@@ -762,12 +749,6 @@ class TestTopParsing:
         assert p99 == pytest.approx(10.0)
         assert histogram_quantile(metrics, "absent", 0.5) is None
 
-    def test_shard_shares(self):
-        metrics = parse_prometheus(EXPOSITION)
-        shares = shard_shares(metrics)
-        assert shares == {"0": pytest.approx(0.75), "1": pytest.approx(0.25)}
-        assert shard_shares({}) == {}
-
     def test_render_rates_between_frames(self):
         dashboard = Dashboard("http://example.invalid")
         metrics = parse_prometheus(EXPOSITION)
@@ -786,5 +767,4 @@ class TestTopParsing:
         )
         second = dashboard.render(later, health, interval=2.0)
         assert "10.0 txn/s" in second  # (60-40)/2s
-        assert "shard   0   75.0%" in second
         assert "breached=none" in second

@@ -7,7 +7,7 @@ Four families:
 2. Hypothesis differential properties — for random GPSJ views and
    random delta streams, cost-planned maintenance must match
    ground-truth recomputation on the default backend (CI repeats the
-   suite under ``REPRO_BACKEND=columnar`` and ``sharded:3``).  The
+   suite under ``REPRO_BACKEND=columnar``).  The
    cost layer only reorders provably order-insensitive work, so this
    is the load-bearing safety property.
 3. The adaptive feedback loop — a deterministically planted
@@ -15,15 +15,12 @@ Four families:
    plan's estimates must converge so no further re-plans fire.
 4. Statistics hygiene — an aborted transaction must leave the
    catalog's domain high-water marks and snapshots exactly as they
-   were (no estimate drift after rollback), and a sharded backend's
-   observed statistics must reach ``runtime_stats()`` (the
-   ``explain --analyze`` payload).
+   were (no estimate drift after rollback).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from repro.backends.sharded import ShardedBackend
 from repro.core.maintenance import SelfMaintainer
 from repro.engine.deltas import Delta, Transaction
 from repro.perf import PLANNER_QERROR
@@ -35,7 +32,6 @@ from repro.plan.cost import (
     replan_ratio_from_env,
     resolve_planner_name,
 )
-from repro.plan.explain import stats_annotator
 from repro.testing.faults import FaultInjector, InjectedFault
 from repro.warehouse.warehouse import Warehouse
 from repro.workloads.random_gen import random_scenario
@@ -236,11 +232,9 @@ class TestAdaptiveReplanning:
         total_execs = sum(r["executions"] for r in records)
         assert total_execs > 0
         # Every warm-up transaction is accounted for on the delta scan,
-        # replans notwithstanding (once per shard on a sharded backend,
-        # which runs the partitioned sale delta's scan in every shard).
-        shards = getattr(maintainer.backend, "n_shards", 1)
+        # replans notwithstanding.
         delta_scans = [r for r in records if r["label"].startswith("Δscan")]
-        assert delta_scans and delta_scans[0]["executions"] == 4 * shards
+        assert delta_scans and delta_scans[0]["executions"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -366,44 +360,3 @@ class TestSharedSubplanSelection:
         report = warehouse.explain_plans()
         assert "shared across views: product_sales, product_sales_max" in report
         assert "[cost-selected]" in report
-
-
-# ----------------------------------------------------------------------
-# Sharded backends: runtime statistics for explain --analyze.
-# ----------------------------------------------------------------------
-
-
-def _retail_maintainer(backend):
-    database = build_retail_database(
-        RetailConfig(
-            days=6,
-            stores=2,
-            products=8,
-            products_sold_per_day=4,
-            transactions_per_product=2,
-            start_year=1997,
-        )
-    )
-    maintainer = SelfMaintainer(
-        product_sales_view(1997), database, backend=backend
-    )
-    return database, maintainer
-
-
-class TestShardedAnalyzeMerge:
-    def test_serial_sharded_needs_no_merge(self):
-        """The shards run the maintainer's own plan nodes in-process, so
-        the nodes' live statistics already cover every shard."""
-        database, maintainer = _retail_maintainer(ShardedBackend(n_shards=3))
-        generator = TransactionGenerator(database, seed=5)
-        for __ in range(3):
-            maintainer.apply(generator.step())
-        records = maintainer.runtime_stats().get("+sale", [])
-        assert any(r["executions"] for r in records if r["depth"] > 0)
-        # The analyze annotator renders those observations.
-        plans = maintainer.delta_plans("sale", +1)
-        notes = [stats_annotator(node) for node in plans.walk()]
-        assert any(
-            note and note.startswith("actual:") and "execs=0" not in note
-            for note in notes
-        )
