@@ -1,35 +1,25 @@
-"""CI gate: fail on benchmark throughput regression vs the committed baseline.
+"""CI gate: fail when a fresh serving benchmark regresses vs the baseline.
 
-Compares a fresh benchmark run against its checked-in baseline.  Raw
-rows/second is hardware-bound and useless across CI machines, so each
-benchmark declares a machine-invariant *ratio* measured within one run
-on one machine, and the gate compares that:
-
-* ``bench_planner.py`` → ``BENCH_planner.json``, gated on
-  ``work_reduction`` (rows of maintenance work avoided by adaptive
-  re-planning and by explicit shared-subplan selection, each measured
-  against a disabled twin within one run) — counted in rows, not
-  seconds, hence machine-invariant;
-* ``bench_serving.py`` → ``BENCH_serving.json``, gated on
-  ``consistent_fraction`` (which must be *exactly* 1.0 — snapshot
-  isolation is correctness, not throughput, so no tolerance applies)
-  plus the absolute ``read_p99_ms`` budget each record carries
-  (``read_p99_budget_ms``), generous enough for a single-core CI host.
+Compares a fresh ``bench_serving.py`` run against the checked-in
+``BENCH_serving.json``, gated on ``consistent_fraction`` (which must be
+*exactly* 1.0 — snapshot isolation is correctness, not throughput, so
+no tolerance applies) plus the absolute ``read_p99_ms`` budget each
+record carries (``read_p99_budget_ms``), generous enough for a
+single-core CI host.
 
 The baseline file and metric are picked from the fresh report's
-``benchmark`` name, which must be one of the above (a report without
-one is an error).
+``benchmark`` name, which must be one of :data:`BENCHMARKS` (a report
+without one is an error).
 
 Usage::
 
-    python benchmarks/bench_planner.py \
-        --scale small --out /tmp/BENCH_planner_smoke.json
+    python benchmarks/bench_serving.py \
+        --scale small --out /tmp/BENCH_serving_smoke.json
     python benchmarks/check_bench_regression.py \
-        /tmp/BENCH_planner_smoke.json [--scale small] [--tolerance 0.25]
+        /tmp/BENCH_serving_smoke.json [--scale small]
 
-Exit status 1 (with a per-stream report) if any stream's metric falls
-more than ``tolerance`` below the baseline's.  The gate also asserts
-both runs carry the per-transaction histogram summaries
+Exit status 1 (with a per-stream report) on any failure.  The gate also
+asserts both runs carry the per-transaction histogram summaries
 (``histograms.txn_latency_ms`` etc.) so the observability layer's
 distribution reporting cannot silently disappear from the benchmark.
 """
@@ -47,7 +37,6 @@ _REPO = Path(__file__).resolve().parent.parent
 #: and the machine-invariant ratio field it gates on.
 BENCHMARKS = {
     "serving_load": (_REPO / "BENCH_serving.json", "consistent_fraction"),
-    "planner_adaptivity": (_REPO / "BENCH_planner.json", "work_reduction"),
 }
 
 #: Histogram summaries every stream record must carry (and the summary
@@ -74,48 +63,6 @@ def check_histograms(label: str, streams: dict) -> list[str]:
                 failures.append(
                     f"{label}/{kind}: histogram {name!r} lacks {missing!r}"
                 )
-    return failures
-
-
-def compare(
-    baseline: dict,
-    fresh: dict,
-    scale: str,
-    tolerance: float,
-    metric: str,
-) -> list[str]:
-    """Human-readable failures; empty when the gate passes."""
-    try:
-        base_streams = baseline["scales"][scale]["streams"]
-    except KeyError:
-        return [f"baseline has no scale {scale!r}"]
-    try:
-        fresh_streams = fresh["scales"][scale]["streams"]
-    except KeyError:
-        return [f"fresh run has no scale {scale!r}"]
-    failures = check_histograms("baseline", base_streams)
-    failures += check_histograms("fresh", fresh_streams)
-    for kind, base in sorted(base_streams.items()):
-        measured = fresh_streams.get(kind)
-        if measured is None:
-            failures.append(f"{kind}: missing from fresh run")
-            continue
-        if metric not in base or metric not in measured:
-            failures.append(f"{kind}: no {metric!r} field to compare")
-            continue
-        floor = base[metric] * (1.0 - tolerance)
-        verdict = "ok" if measured[metric] >= floor else "REGRESSION"
-        print(
-            f"  {kind:<13} baseline {base[metric]:>5.2f}x  "
-            f"measured {measured[metric]:>5.2f}x  "
-            f"floor {floor:>5.2f}x  {verdict}"
-        )
-        if measured[metric] < floor:
-            failures.append(
-                f"{kind}: {metric} {measured[metric]:.2f}x fell below "
-                f"{floor:.2f}x ({base[metric]:.2f}x baseline - "
-                f"{tolerance:.0%} tolerance)"
-            )
     return failures
 
 
@@ -175,12 +122,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale", default="small", help="scale to gate on (default: small)"
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional metric drop (default: 0.25)",
-    )
     args = parser.parse_args(argv)
     fresh = json.loads(Path(args.fresh).read_text())
     name = fresh.get("benchmark")
@@ -193,12 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     baseline = json.loads(baseline_path.read_text())
     print(
         f"regression gate: benchmark={fresh.get('benchmark', '?')} "
-        f"metric={metric} scale={args.scale} tolerance={args.tolerance:.0%}"
+        f"metric={metric} scale={args.scale}"
     )
-    if fresh.get("benchmark") == "serving_load":
-        failures = compare_serving(baseline, fresh, args.scale, metric)
-    else:
-        failures = compare(baseline, fresh, args.scale, args.tolerance, metric)
+    failures = compare_serving(baseline, fresh, args.scale, metric)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -10,8 +10,7 @@ indexes mapping values to *row-id vectors*:
   stores, so bag deletes pick a victim rid in O(1);
 * per-column value indexes (``value -> {rids}``) built lazily on first
   probe and maintained incrementally from then on — they serve join
-  probes, ``key_values`` (the join-reduction key sets), *and* the stats
-  catalog's distinct counts for free.
+  probes and ``key_values`` (the join-reduction key sets).
 
 Delta plans compile to *fused batch kernels* executed once per delta
 batch instead of once per row per node:
@@ -827,7 +826,7 @@ class ColumnarBackend(Backend):
     def _kernel(self, node, compile_fn):
         entry = self._kernels.get(id(node))
         if entry is None or entry[0] is not node:
-            if len(self._kernels) > 1024:  # replan hygiene, rarely hit
+            if len(self._kernels) > 1024:  # bound stale ids, rarely hit
                 self._kernels.clear()
             entry = self._kernels[id(node)] = (node, compile_fn(node))
         return entry[1]

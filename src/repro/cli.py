@@ -44,18 +44,17 @@ Usage (``python -m repro <command> ...``)::
 
     python -m repro events --retail [--level L --jsonl out.jsonl]
         Run the synthetic stream and print the structured event log
-        (txn commits/rollbacks, replans, checkpoints, backpressure).
+        (txn commits/rollbacks, checkpoints, backpressure).
 
     python -m repro doctor --retail [--json --checkpoint path
                                      --plant-index-corruption]
         Operational self-check: index consistency, checkpoint
-        staleness, stats-catalog drift, event-log errors.  Exits 0
+        staleness, event-log errors.  Exits 0
         healthy, 1 degraded (warnings), 2 unhealthy (failures).
 
     python -m repro top [--url U --interval S --once]
         Live terminal dashboard over a serving /metrics endpoint:
-        throughput, queue depth, read latency quantiles, planner
-        q-error.
+        throughput, queue depth, read latency quantiles.
 
 The observability commands and ``serve`` also run against the built-in
 retail star schema with ``--retail`` (no schema/view files needed), and

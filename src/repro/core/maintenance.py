@@ -52,19 +52,13 @@ from repro.engine.schema import Schema
 from repro.engine.undolog import UndoLog
 from repro.obs.trace import Tracer
 from repro.perf import (
-    PLANNER_QERROR,
     TXN_DELTA_ROWS,
     TXN_LATENCY_MS,
     TXN_ROWS_PER_SEC,
     PerfStats,
 )
-from repro.plan.cost import StatsCatalog, q_error, replan_ratio_from_env
 from repro.plan.executor import ExecutionContext
-from repro.plan.maintenance import (
-    DeltaPlans,
-    MaintenancePlanner,
-    transfer_runtime_stats,
-)
+from repro.plan.maintenance import DeltaPlans, MaintenancePlanner
 
 
 class SelfMaintenanceError(Exception):
@@ -224,6 +218,9 @@ class CompressedMaterialization(AuxMaterialization):
             ]
             self._cache = Relation(self.schema, rows, validate=False)
         return self._cache
+
+    def __len__(self) -> int:
+        return len(self._groups)
 
     def apply(self, base_rows: list[tuple], sign: int) -> None:
         if not base_rows:
@@ -439,13 +436,12 @@ class SelfMaintainer:
         running the compiled plans: a :class:`~repro.backends.Backend`
         instance, a name (``"memory"`` or ``"columnar"``), or ``None``
         to consult the ``REPRO_BACKEND`` environment variable (default
-        memory).  Delta plans are chosen per compile from live
-        cardinality statistics (join order, probe direction,
-        restriction), with adaptive re-planning on misestimates.
+        memory).  Delta plans are compiled once per (table, sign) from
+        the view's structure and never re-planned.
         ``events`` optionally attaches a structured
         :class:`~repro.obs.log.EventLog`: the maintainer narrates
-        transaction begin/commit/rollback and planner re-plans into it,
-        correlated with the active trace when one exists."""
+        transaction begin/commit/rollback into it, correlated with the
+        active trace when one exists."""
         self.view = view
         self.append_only = append_only
         self.backend = make_backend(backend)
@@ -457,7 +453,6 @@ class SelfMaintainer:
         self.perf = PerfStats()
         self.tracer = tracer
         self.events = events
-        self._replan_ratio = replan_ratio_from_env()
         self._materializations: dict[str, AuxMaterialization] = {
             aux.table: self.backend.make_materialization(
                 aux, namespace=view.name
@@ -471,7 +466,6 @@ class SelfMaintainer:
             table: self._table_info(view, database, table)
             for table in view.tables
         }
-        self._stats = StatsCatalog(self._materializations)
         self._planner = MaintenancePlanner(
             view,
             database,
@@ -479,10 +473,8 @@ class SelfMaintainer:
             self.aux_set,
             self.reconstructor,
             self._order,
-            self._stats,
         )
         self._delta_plans: dict[tuple[str, int], DeltaPlans] = {}
-        self._retired_plans: dict[tuple[str, int], DeltaPlans] = {}
         self._constant_tables = self._group_constant_tables()
         self._varying_items = frozenset(
             index
@@ -941,18 +933,9 @@ class SelfMaintainer:
         self._undo = log
         self._undo_saved_groups = set()
         self._group_saves = []
-        # Estimate hygiene: the stats snapshot describes pre-transaction
-        # state, and an abort must also take back the domain high-water
-        # marks this transaction's inserts raise — otherwise rolled-back
-        # key populations would keep depressing selectivity estimates
-        # forever.  Recorded *first* so the LIFO rollback restores the
-        # catalog last, after every materialization inverse has run.
-        domains = self._stats.domain_snapshot()
-        log.record(lambda s=domains: self._stats.restore_domains(s))
-        self._stats.invalidate()
-        # The backend's scope opens next, below every materialization
+        # The backend's scope opens first, below every materialization
         # inverse, so any restore it registers runs after every
-        # materialization inverse (and before the catalog's).
+        # materialization inverse.
         self.backend.begin_transaction(log)
         for materialization in self._materializations.values():
             materialization.begin_undo(log)
@@ -963,8 +946,6 @@ class SelfMaintainer:
         self._group_saves = []
         for materialization in self._materializations.values():
             materialization.end_undo()
-        # The committed state moved; the next plan compile re-reads it.
-        self._stats.invalidate()
 
     def _save_group(self, key: tuple) -> None:
         """Record the inverse of this transaction's mutations of one
@@ -1182,16 +1163,11 @@ class SelfMaintainer:
 
     def delta_plans(self, table: str, sign: int) -> DeltaPlans:
         """The compiled maintenance pipeline for one delta shape, built
-        once per (table, sign) and reused for every transaction (until
-        an adaptive re-plan retires it; the retired pipeline's observed
-        stats carry over onto the recompiled one)."""
+        once per (table, sign) and reused for every transaction."""
         key = (table, sign)
         plans = self._delta_plans.get(key)
         if plans is None:
             plans = self._delta_plans[key] = self._planner.build(table, sign)
-            retired = self._retired_plans.pop(key, None)
-            if retired is not None:
-                transfer_runtime_stats(retired, plans)
         return plans
 
     def runtime_stats(self) -> dict:
@@ -1200,101 +1176,10 @@ class SelfMaintainer:
         on the cached plan nodes, so after a transaction stream this is
         the full observed-cardinality profile of the maintenance work
         (see ``explain --analyze``)."""
-        stats = {
+        return {
             ("+" if sign > 0 else "-") + table: plans.runtime_stats()
             for (table, sign), plans in sorted(self._delta_plans.items())
         }
-        for (table, sign), plans in sorted(self._retired_plans.items()):
-            # A shape retired by a re-plan and not yet recompiled still
-            # owns its observed history.
-            stats.setdefault(
-                ("+" if sign > 0 else "-") + table, plans.runtime_stats()
-            )
-        return stats
-
-    @property
-    def stats_catalog(self) -> StatsCatalog:
-        """The live cardinality/distinct-count catalog cost plans read."""
-        return self._stats
-
-    def set_estimate_hint(
-        self,
-        table: str,
-        sign: int,
-        local_rows: float | None = None,
-        reduce_rows: float | None = None,
-    ) -> None:
-        """Seed the planner's feedback for one delta shape and force its
-        next compile to use it (what the adaptive loop does on a
-        misestimate; exposed so tests and benchmarks can plant a known
-        misestimate deterministically)."""
-        hints = self._planner.feedback.setdefault((table, sign), {})
-        if local_rows is not None:
-            hints["local_rows"] = float(local_rows)
-        if reduce_rows is not None:
-            hints["reduce_rows"] = float(reduce_rows)
-        self._retire_plans(table, sign)
-
-    def _retire_plans(self, table: str, sign: int) -> None:
-        """Drop the cached pipeline for one shape, keeping it aside so
-        the recompiled plan inherits its observed statistics."""
-        key = (table, sign)
-        plans = self._delta_plans.pop(key, None)
-        if plans is not None:
-            retired = self._retired_plans.get(key)
-            if retired is not None:
-                transfer_runtime_stats(retired, plans)
-            self._retired_plans[key] = plans
-
-    def _check_estimates(
-        self,
-        table: str,
-        sign: int,
-        plans: DeltaPlans,
-        local_rows: int,
-        reduce_rows: int,
-        trace,
-    ) -> None:
-        """The adaptive feedback loop: compare the plan's stage
-        estimates against this transaction's observed cardinalities;
-        past the configured q-error ratio, record the observation and
-        drop the cached pipeline so the *next* transaction recompiles
-        against fresh statistics (this one finishes on the old plan —
-        both are correct, only cost differs)."""
-        estimates = plans.stage_estimates()
-        worst = 1.0
-        for estimated, actual in (
-            (estimates["local"], local_rows),
-            (estimates["reduce"], reduce_rows),
-        ):
-            error = q_error(estimated, actual)
-            self.perf.observe(PLANNER_QERROR, error)
-            worst = max(worst, error)
-        if worst <= self._replan_ratio:
-            return
-        self._planner.feedback[(table, sign)] = {
-            "local_rows": float(max(local_rows, 1)),
-            "reduce_rows": float(max(reduce_rows, 1)),
-        }
-        self._retire_plans(table, sign)
-        self.perf.count("replans")
-        if self.events is not None:
-            self.events.info(
-                "planner.replan",
-                ctx=None if trace is None else trace.context(),
-                view=self.view.name,
-                table=table,
-                sign=sign,
-                q_error=round(worst, 2),
-            )
-        if trace is not None:
-            trace.instant(
-                "replan",
-                kind="planner",
-                table=table,
-                sign=sign,
-                q_error=round(worst, 2),
-            )
 
     def set_restriction(self, enabled: bool) -> None:
         """Plan future propagation joins with (default) or without the
@@ -1348,7 +1233,6 @@ class SelfMaintainer:
             perf.count("rows_join_reduced_away", len(locally) - len(reduced))
         if span is not None:
             span.rows_in, span.rows_out = len(locally), len(reduced)
-        self._check_estimates(table, sign, plans, len(locally), len(reduced), trace)
         if not reduced:
             return
         perf.count("rows_propagated", len(reduced))

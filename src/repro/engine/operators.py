@@ -15,7 +15,7 @@ from repro.engine.aggregates import AggregateFunction, compute_aggregate
 from repro.engine.compilecache import compiled_predicate, projection_extractor
 from repro.engine.expressions import Column, Expression
 from repro.engine.relation import Relation
-from repro.engine.rowindex import RowIndex, make_key_extractor, make_tuple_extractor
+from repro.engine.rowindex import make_key_extractor, make_tuple_extractor
 from repro.engine.schema import Attribute, Schema
 from repro.engine.types import AttributeType
 
@@ -62,48 +62,22 @@ def cross_product(left: Relation, right: Relation) -> Relation:
 
 
 def _join_extractors(
-    left: Relation,
-    right: Relation,
-    pairs: Sequence[tuple[str, str]],
-    right_index: RowIndex | None,
+    left: Relation, right: Relation, pairs: Sequence[tuple[str, str]]
 ):
-    """Precompiled key extractors for both sides of a join.
-
-    When ``right_index`` is supplied it must be keyed on exactly the
-    join's right-side columns; its extractor is reused so both sides
-    agree on the scalar-vs-tuple key convention."""
+    """Precompiled key extractors for both sides of a join."""
     left_idx = tuple(left.schema.index_of(l) for l, __ in pairs)
     right_idx = tuple(right.schema.index_of(r) for __, r in pairs)
-    if right_index is not None and right_index.positions != right_idx:
-        raise OperatorError(
-            f"index on positions {right_index.positions} cannot serve a "
-            f"join on right positions {right_idx}"
-        )
     return make_key_extractor(left_idx), make_key_extractor(right_idx)
 
 
 def equijoin(
-    left: Relation,
-    right: Relation,
-    pairs: Sequence[tuple[str, str]],
-    right_index: RowIndex | None = None,
+    left: Relation, right: Relation, pairs: Sequence[tuple[str, str]]
 ) -> Relation:
-    """Hash equijoin on ``pairs`` of (left reference, right reference).
-
-    With a ``right_index`` (a maintained :class:`RowIndex` on the right
-    side's join columns) the build phase is skipped entirely.
-    """
+    """Hash equijoin on ``pairs`` of (left reference, right reference)."""
     if not pairs:
         return cross_product(left, right)
-    left_key, right_key = _join_extractors(left, right, pairs, right_index)
+    left_key, right_key = _join_extractors(left, right, pairs)
     schema = left.schema.concat(right.schema)
-    if right_index is not None:
-        rows = [
-            lrow + rrow
-            for lrow in left.rows
-            for rrow in right_index.rows_for(left_key(lrow))
-        ]
-        return Relation(schema, rows, validate=False)
     buckets: dict[object, list[tuple]] = {}
     for row in right.rows:
         key = right_key(row)
@@ -120,35 +94,21 @@ def equijoin(
 
 
 def semijoin(
-    left: Relation,
-    right: Relation,
-    pairs: Sequence[tuple[str, str]],
-    right_index: RowIndex | None = None,
+    left: Relation, right: Relation, pairs: Sequence[tuple[str, str]]
 ) -> Relation:
     """``left ⋉ right``: left rows with at least one join partner."""
-    left_key, right_key = _join_extractors(left, right, pairs, right_index)
-    keys = (
-        right_index.keys()
-        if right_index is not None
-        else set(map(right_key, right.rows))
-    )
+    left_key, right_key = _join_extractors(left, right, pairs)
+    keys = set(map(right_key, right.rows))
     rows = [row for row in left.rows if left_key(row) in keys]
     return Relation(left.schema, rows, validate=False)
 
 
 def antijoin(
-    left: Relation,
-    right: Relation,
-    pairs: Sequence[tuple[str, str]],
-    right_index: RowIndex | None = None,
+    left: Relation, right: Relation, pairs: Sequence[tuple[str, str]]
 ) -> Relation:
     """``left ▷ right``: left rows with no join partner."""
-    left_key, right_key = _join_extractors(left, right, pairs, right_index)
-    keys = (
-        right_index.keys()
-        if right_index is not None
-        else set(map(right_key, right.rows))
-    )
+    left_key, right_key = _join_extractors(left, right, pairs)
+    keys = set(map(right_key, right.rows))
     rows = [row for row in left.rows if left_key(row) not in keys]
     return Relation(left.schema, rows, validate=False)
 

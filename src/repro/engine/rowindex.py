@@ -132,43 +132,6 @@ class RowIndex:
         """Number of indexed rows (with multiplicity)."""
         return sum(sum(bucket.values()) for bucket in self._buckets.values())
 
-    # ------------------------------------------------------------------
-    # Statistics (the cost planner's free histograms).
-    # ------------------------------------------------------------------
-
-    def distinct_count(self) -> int:
-        """Number of distinct key values present — O(1), maintained by
-        the same per-row updates that keep the index itself fresh.  This
-        is the ``V(R, a)`` every estimation formula in
-        :mod:`repro.plan.cost` is built on."""
-        return len(self._buckets)
-
-    def key_histogram(self) -> Counter:
-        """``{key value: row count (with multiplicity)}`` — the exact
-        distinct-value histogram of the indexed column set, derived from
-        bucket sizes with no extra bookkeeping."""
-        return Counter(
-            {key: sum(bucket.values()) for key, bucket in self._buckets.items()}
-        )
-
-    def stats(self) -> dict:
-        """Summary statistics for cost estimation and ``explain``:
-        row count, distinct keys, and the heaviest bucket (the skew
-        indicator a uniform-distribution estimate is blind to)."""
-        rows = len(self)
-        distinct = len(self._buckets)
-        max_bucket = (
-            max(sum(bucket.values()) for bucket in self._buckets.values())
-            if self._buckets
-            else 0
-        )
-        return {
-            "rows": rows,
-            "distinct": distinct,
-            "max_bucket_rows": max_bucket,
-            "mean_bucket_rows": rows / distinct if distinct else 0.0,
-        }
-
     def as_multiset(self) -> Counter:
         """All indexed rows with multiplicity, bucket structure erased.
 

@@ -25,7 +25,7 @@ can use them):
 
 :mod:`repro.obs.log`
     A leveled, bounded, trace-correlated :class:`EventLog` narrating
-    operational moments (txn commit/rollback, replans, checkpoints,
+    operational moments (txn commit/rollback, checkpoints,
     faults, backpressure) as JSONL events.
 
 :mod:`repro.obs.health`
@@ -38,8 +38,8 @@ can use them):
 
 :mod:`repro.obs.stats`
     :class:`ActualStats`, the per-plan-node runtime accumulator behind
-    ``explain --analyze`` and ``Warehouse.runtime_stats()`` — observed
-    cardinalities as the future cost model's training data.
+    ``explain --analyze`` and ``Warehouse.runtime_stats()`` — the
+    observed cardinality and time of every executed plan node.
 """
 
 from repro.obs.health import SLOTracker

@@ -2,9 +2,8 @@
 
 Where metrics aggregate and traces profile, the event log *narrates*:
 one timestamped record per operationally interesting moment — a
-transaction beginning, committing, or rolling back; the planner
-re-planning past its q-error threshold; a checkpoint being written or
-restored; a fault firing; the apply queue shedding load.  Events carry
+transaction beginning, committing, or rolling back; a checkpoint being
+written or restored; a fault firing; the apply queue shedding load.  Events carry
 a ``ctx`` (the ``traceparent`` of the span active when they were
 emitted, see :mod:`repro.obs.trace`), so a rollback event joins the
 exact request/batch/transaction tree that produced it.

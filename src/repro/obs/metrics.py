@@ -68,13 +68,6 @@ ROWS_PER_SEC_BUCKETS = (
     100_000, 250_000, 500_000, 1_000_000,
 )
 
-#: Bucket bounds for the cost planner's q-error (estimate-vs-actual
-#: cardinality ratio, always >= 1).  The first bucket is the perfect
-#: estimate; the re-plan threshold defaults into the 4.0 bucket.
-QERROR_BUCKETS = (
-    1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0,
-)
-
 _LabelKey = tuple[tuple[str, str], ...]
 
 

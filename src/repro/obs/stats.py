@@ -8,9 +8,7 @@ separately).  Because maintenance plans are compiled once per
 are cached per view — the accumulators persist across transactions:
 after a change stream they hold exactly the *observed* per-operator
 cardinalities that ``explain --analyze`` renders and that
-``Warehouse.runtime_stats()`` exposes as training data for the
-ROADMAP's cost-based planner (the role observed operator cardinalities
-play in multi-query-optimization planners, cf. arXiv:cs/0003006).
+``Warehouse.runtime_stats()`` exposes.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Polls ``/metrics`` (Prometheus text exposition) and ``/healthz`` on a
 running ``repro serve`` instance and renders the numbers an operator
 watches during a load event: apply throughput (rate between polls),
-queue depth and lag, snapshot version, read latency quantiles, and
-planner q-error.
+queue depth and lag, snapshot version, and read latency quantiles.
 
 Everything here is stdlib: :func:`parse_prometheus` is a small text
 exposition parser (names, label sets, values, histogram ``_bucket``
@@ -213,16 +212,7 @@ class Dashboard:
             f"  version={metric_value(metrics, 'repro_serving_version'):.0f}"
             f"  rejected={metric_value(metrics, 'repro_serving_txns_rejected_total'):.0f}"
         )
-        lines.append(
-            f"planner  qerror_p50={_fmt(histogram_quantile(metrics, 'repro_planner_qerror', 0.5))}"
-            f"  qerror_p99={_fmt(histogram_quantile(metrics, 'repro_planner_qerror', 0.99))}"
-            f"  replans={metric_value(metrics, 'repro_maintenance_events_total', event='replans'):.0f}"
-        )
         return "\n".join(lines)
-
-
-def _fmt(value: float | None) -> str:
-    return "?" if value is None else f"{value:.2f}"
 
 
 def _fmt_ms(value: float | None) -> str:

@@ -33,7 +33,6 @@ import time
 from repro.obs.metrics import (
     DELTA_ROWS_BUCKETS,
     LATENCY_MS_BUCKETS,
-    QERROR_BUCKETS,
     ROWS_PER_SEC_BUCKETS,
     MetricsRegistry,
 )
@@ -56,16 +55,11 @@ TXN_LATENCY_MS = "repro_txn_latency_ms"
 TXN_DELTA_ROWS = "repro_txn_delta_rows"
 TXN_ROWS_PER_SEC = "repro_txn_rows_per_sec"
 REFRESH_PROPAGATED_ROWS = "repro_refresh_propagated_rows"
-#: Cost-planner estimate quality: one q-error sample per checked stage
-#: (see ``SelfMaintainer._check_estimates``); samples beyond the
-#: re-plan threshold coincide with ``replans`` counter increments.
-PLANNER_QERROR = "repro_planner_qerror"
 HISTOGRAM_BUCKETS = {
     TXN_LATENCY_MS: LATENCY_MS_BUCKETS,
     TXN_DELTA_ROWS: DELTA_ROWS_BUCKETS,
     TXN_ROWS_PER_SEC: ROWS_PER_SEC_BUCKETS,
     REFRESH_PROPAGATED_ROWS: DELTA_ROWS_BUCKETS,
-    PLANNER_QERROR: QERROR_BUCKETS,
 }
 
 

@@ -5,7 +5,7 @@ recomputation (:func:`~repro.plan.planner.evaluate_view`), auxiliary
 reconstruction (:class:`~repro.core.rewrite.Reconstructor` builds its
 join plans here), and incremental maintenance
 (:class:`~repro.plan.maintenance.MaintenancePlanner` compiles one
-cost-chosen delta plan per (table, sign)).
+delta plan per (table, sign), once).
 
 ``repro.plan.explain`` renders chosen plans with their annotations
 (pushed selections, pruned projections, index-backed reductions,

@@ -57,10 +57,11 @@ def make_shared_annotator(
 ):
     """An annotator for :meth:`PhysicalNode.render` that marks subplans
     two or more views could compute through the shared per-transaction
-    cache, distinguishing subtrees the cost model *chose* to
-    materialize once (``selected``, the warehouse's explicit
-    shared-subplan selection) from shareable candidates it declined
-    (their results are recomputed per view)."""
+    cache, distinguishing subtrees the warehouse *selected* to
+    materialize once (``selected``, its explicit shared-subplan
+    selection) from shareable candidates it left out — plans of a sign
+    an append-only view never runs — whose results are recomputed per
+    view."""
 
     def annotator(node) -> str | None:
         if node.share_key is None:
@@ -71,7 +72,7 @@ def make_shared_annotator(
         names = ", ".join(views)
         if node.share_key in selected:
             return f"shared across views: {names} [cost-selected]"
-        return f"shareable across views: {names} [not selected by cost model]"
+        return f"shareable across views: {names} [not selected]"
 
     return annotator
 

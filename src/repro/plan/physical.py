@@ -128,7 +128,7 @@ class PhysicalNode:
 
     __slots__ = (
         "children", "label", "logical", "annotations", "share_key",
-        "stats", "estimated_rows", "_timer_key",
+        "stats", "_timer_key",
     )
 
     def __init__(
@@ -143,10 +143,6 @@ class PhysicalNode:
         self.annotations: list[str] = []
         self.share_key: LogicalNode | None = None
         self.stats = ActualStats()
-        #: The maintenance planner's predicted output cardinality (None
-        #: on evaluation plans); compared against :attr:`stats` after
-        #: execution to drive adaptive re-planning.
-        self.estimated_rows: float | None = None
         self._timer_key = "plan:" + self.label
 
     def describe(self) -> str:
@@ -437,18 +433,11 @@ class KeyProbeSemiJoinNode(PhysicalNode):
 
     The key set comes from the materialization's ``key_values`` view —
     a live, incrementally-maintained hash-index view (O(1) probes, no
-    rebuild).
-
-    ``probe_direction`` is the cost planner's knob: ``"delta"`` (the
-    default) probes the key set once per delta row; ``"keys"`` — chosen
-    when the dependency's key population is estimated to be much smaller
-    than the delta — first intersects the key set with the delta's
-    distinct foreign-key values and then filters through the (smaller)
-    intersection.  Both directions emit exactly the surviving delta rows
-    in delta order, so the choice is invisible to results.
+    rebuild), probed once per delta row; the surviving rows keep delta
+    order.
     """
 
-    __slots__ = ("dep_table", "dep_key", "fk_index", "probe_direction")
+    __slots__ = ("dep_table", "dep_key", "fk_index")
 
     def __init__(
         self,
@@ -461,7 +450,6 @@ class KeyProbeSemiJoinNode(PhysicalNode):
         self.dep_table = dep_table
         self.dep_key = dep_key
         self.fk_index = fk_index
-        self.probe_direction = "delta"
         super().__init__((child,), f"key-probe:{dep_table}", logical)
 
     def describe(self) -> str:
@@ -471,15 +459,7 @@ class KeyProbeSemiJoinNode(PhysicalNode):
         relation = inputs[0]
         keys = ctx.provider(self.dep_table).key_values(self.dep_key)
         fk = self.fk_index
-        if self.probe_direction == "keys":
-            # Key-side probing: intersect the (small) key set with the
-            # delta's fk values, then filter — identical output and
-            # order, fewer hash probes when |keys| << |delta|.
-            fk_values = {row[fk] for row in relation.rows}
-            hits = {key for key in keys if key in fk_values}
-            rows = [row for row in relation.rows if row[fk] in hits]
-        else:
-            rows = [row for row in relation.rows if row[fk] in keys]
+        rows = [row for row in relation.rows if row[fk] in keys]
         return Relation(relation.schema, rows, validate=False)
 
 
@@ -490,6 +470,12 @@ class NeighborRestrictNode(PhysicalNode):
     target materialization's hash index (``rows_matching``) — one hop of
     the maintenance planner's join-tree restriction walk.  Each distinct
     probed value counts as one ``index_probes``.
+
+    When the input has at least as many rows as the materialization, the
+    restriction cannot shrink it and its probes are pure overhead, so the
+    node returns the full view instead.  Both answers join identically
+    (the restriction is a semijoin on a pair the join re-checks); the
+    choice is taken per execution, from exact sizes.
     """
 
     __slots__ = ("table", "local_index", "far_ref", "schema")
@@ -513,9 +499,13 @@ class NeighborRestrictNode(PhysicalNode):
         return f"restrict[{self.table} by {self.far_ref}]"
 
     def execute(self, ctx: ExecutionContext, inputs: list) -> Relation:
+        rows = inputs[0].rows
+        provider = ctx.provider(self.table)
+        if len(rows) >= len(provider):
+            return provider.relation()
         local = self.local_index
-        values = {row[local] for row in inputs[0].rows}
-        matched = ctx.provider(self.table).rows_matching(self.far_ref, values)
+        values = {row[local] for row in rows}
+        matched = provider.rows_matching(self.far_ref, values)
         ctx.count("index_probes", len(values))
         return Relation(self.schema, matched, validate=False)
 

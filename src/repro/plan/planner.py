@@ -20,7 +20,7 @@ operator loops it replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # NOTE: no imports from repro.catalog or repro.core here — those layers
 # import this planner, and annotations are lazy (PEP 563), so the
@@ -128,58 +128,14 @@ def join_order(
     return steps
 
 
-def cost_join_order(
-    tables: Sequence[str],
-    joins: Sequence[JoinCondition],
-    start: str,
-    size_of: Callable[[str], float],
-    join_rows: Callable[[float, str, tuple[tuple[str, str], ...]], float],
-) -> list[tuple[str, tuple[tuple[str, str], ...] | None]]:
-    """A cost-greedy join order: same step shape as :func:`join_order`,
-    but each step picks the *connectable* table minimizing the estimated
-    intermediate cardinality instead of following declaration order.
-
-    ``size_of(table)`` estimates one relation's cardinality and
-    ``join_rows(current_estimate, table, pairs)`` the result of joining
-    it in.  The start table is fixed (delta propagation anchors on the
-    changed table), ties break on declaration order, and a disconnected
-    graph raises — propagation joins never cross-product.
-    """
-    remaining = list(tables)
-    remaining.remove(start)
-    placed = {start}
-    steps: list[tuple[str, tuple[tuple[str, str], ...] | None]] = [(start, None)]
-    estimate = max(size_of(start), 1.0)
-    while remaining:
-        best = None
-        for table in remaining:  # declaration order: deterministic ties
-            pairs = join_pairs(joins, table, placed)
-            if pairs is None:
-                continue
-            cost = join_rows(estimate, table, tuple(pairs))
-            if best is None or cost < best[0]:
-                best = (cost, table, tuple(pairs))
-        if best is None:
-            raise JoinGraphDisconnected(remaining)
-        estimate, table, pairs = best
-        steps.append((table, pairs))
-        placed.add(table)
-        remaining.remove(table)
-    return steps
-
-
 def join_physical(
     nodes: Mapping[str, PhysicalNode],
     steps: Sequence[tuple[str, tuple[tuple[str, str], ...] | None]],
-    make_join: Callable[[PhysicalNode, str, tuple], PhysicalNode] | None = None,
 ) -> PhysicalNode:
     """Fold precomputed join steps over per-table physical nodes."""
     current = nodes[steps[0][0]]
     for table, pairs in steps[1:]:
-        if make_join is not None:
-            current = make_join(current, table, pairs or ())
-        else:
-            current = HashJoinNode(current, nodes[table], pairs or ())
+        current = HashJoinNode(current, nodes[table], pairs or ())
     return current
 
 

@@ -10,9 +10,6 @@ against a live warehouse:
   (:func:`repro.testing.faults.verify_index_consistency`);
 * **checkpoint staleness** — the newest checkpoint on disk is readable,
   format-compatible, and younger than the allowed age;
-* **stats-catalog drift** — the cost planner's cached cardinalities
-  agree with the live materializations
-  (:meth:`~repro.plan.cost.StatsCatalog.drift_report`);
 * **event-log summary** — per-level totals, surfacing error events that
   already rotated out of the ring.
 
@@ -129,15 +126,6 @@ def run_doctor(
     checks.append(
         _checkpoint_check(checkpoint_path, max_checkpoint_age_s, clock)
     )
-    for name in warehouse.view_names:
-        maintainer = warehouse.maintainer(name)
-        findings = maintainer.stats_catalog.drift_report()
-        if findings:
-            checks.append(
-                DoctorCheck(f"stats-drift:{name}", "fail", findings=findings)
-            )
-        else:
-            checks.append(DoctorCheck(f"stats-drift:{name}", "ok"))
     totals = warehouse.events.totals
     checks.append(
         DoctorCheck(

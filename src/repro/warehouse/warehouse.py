@@ -23,11 +23,7 @@ from repro.obs.log import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.perf import PerfStats
-from repro.plan.cost import (
-    DEFAULT_DELTA_ROWS,
-    MIN_SHARED_BENEFIT_ROWS,
-    SharedPlanCache,
-)
+from repro.plan.cost import SharedPlanCache
 
 
 @dataclass(frozen=True)
@@ -185,11 +181,9 @@ class Warehouse:
         set and cached.
 
         A subtree qualifies when it appears in the delta plans of at
-        least two registered views *and* the estimated
-        recomputation it saves — its estimated cardinality times the
-        extra computations avoided — clears
-        :data:`~repro.plan.cost.MIN_SHARED_BENEFIT_ROWS`.  This is the
-        multi-query-optimization selection rule (Mistry et al.,
+        least two registered views: each such result is computed once
+        per transaction instead of once per view.  This is the planned,
+        structural selection of multi-query optimization (Mistry et al.,
         cs/0003006) replacing the old cache-everything heuristic; the
         per-transaction :class:`~repro.plan.cost.SharedPlanCache` admits
         exactly these keys.
@@ -197,7 +191,6 @@ class Warehouse:
         if self._shared_selection is not None:
             return self._shared_selection
         owners: dict[object, set[str]] = {}
-        estimates: dict[object, float] = {}
         for name, maintainer in self._maintainers.items():
             signs = (1,) if maintainer.append_only else (1, -1)
             for table in maintainer.view.tables:
@@ -207,16 +200,8 @@ class Warehouse:
                         if key is None:
                             continue
                         owners.setdefault(key, set()).add(name)
-                        if node.estimated_rows is not None:
-                            estimates[key] = max(
-                                estimates.get(key, 0.0), node.estimated_rows
-                            )
         selected = frozenset(
-            key
-            for key, names in owners.items()
-            if len(names) >= 2
-            and estimates.get(key, DEFAULT_DELTA_ROWS) * (len(names) - 1)
-            >= MIN_SHARED_BENEFIT_ROWS
+            key for key, names in owners.items() if len(names) >= 2
         )
         self._shared_selection = selected
         return selected

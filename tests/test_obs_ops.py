@@ -39,7 +39,6 @@ from repro.obs.trace import (
     stitch_traces,
 )
 from repro.engine.deltas import Delta, Transaction
-from repro.plan.cost import TableStats
 from repro.serving.applyqueue import ApplyQueue, BackpressureError
 from repro.serving.server import WarehouseService
 from repro.warehouse.doctor import plant_index_corruption, run_doctor
@@ -232,7 +231,6 @@ class TestDoctor:
         assert report.status == "healthy" and report.exit_code == 0
         names = [check.name for check in report.checks]
         assert "index-consistency:product_sales" in names
-        assert "stats-drift:product_sales" in names
         assert "event-log" in names
         by_name = {check.name: check for check in report.checks}
         assert by_name["checkpoint-staleness"].status == "skip"
@@ -291,23 +289,6 @@ class TestDoctor:
         by_name = {check.name: check for check in stale.checks}
         assert by_name["checkpoint-staleness"].status == "warn"
         assert stale.exit_code == 1 and stale.status == "degraded"
-        warehouse.close()
-
-    def test_stats_drift_is_detected(self):
-        warehouse = _warehouse()
-        warehouse.apply(_insert(100))
-        catalog = warehouse.maintainer("product_sales").stats_catalog
-        table = next(iter(catalog._providers))
-        live = catalog.table_rows(table)
-        # Simulate a missed invalidation: the cached cardinality lies.
-        catalog._snapshot[table] = TableStats(rows=live + 7)
-        report = run_doctor(warehouse)
-        by_name = {check.name: check for check in report.checks}
-        drift = by_name["stats-drift:product_sales"]
-        assert drift.status == "fail"
-        assert drift.details["findings"][0]["table"] == table
-        assert drift.details["findings"][0]["cached_rows"] == live + 7
-        assert report.exit_code == 2
         warehouse.close()
 
     def test_error_events_degrade_the_report(self):
@@ -713,7 +694,7 @@ repro_serving_read_latency_ms_bucket{le="1"} 50
 repro_serving_read_latency_ms_bucket{le="10"} 90
 repro_serving_read_latency_ms_bucket{le="+Inf"} 100
 repro_serving_read_latency_ms_count 100
-repro_maintenance_events_total{event="replans"} 4
+repro_maintenance_events_total{event="rollbacks"} 4
 repro_maintenance_events_total{event="recomputations"} 1
 with_escapes{name="a\\"b\\\\c\\nd"} 1
 """
@@ -726,7 +707,7 @@ class TestTopParsing:
         assert metric_value(metrics, "missing", default=7.0) == 7.0
         assert (
             metric_value(
-                metrics, "repro_maintenance_events_total", event="replans"
+                metrics, "repro_maintenance_events_total", event="rollbacks"
             )
             == 4
         )

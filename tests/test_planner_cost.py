@@ -1,38 +1,29 @@
-"""The cost-based maintenance planner: correctness and adaptivity.
+"""The maintenance planner: plans built once, sizes read at run time.
 
 Four families:
 
-1. Unit coverage of the cost primitives (planner name, q-error, the
-   re-plan threshold, the explicit shared-plan cache).
+1. Unit coverage of what is left of the cost layer (the planner name
+   stamp and the explicit shared-plan cache).
 2. Hypothesis differential properties — for random GPSJ views and
-   random delta streams, cost-planned maintenance must match
-   ground-truth recomputation on the default backend (CI repeats the
-   suite under ``REPRO_BACKEND=columnar``).  The
-   cost layer only reorders provably order-insensitive work, so this
-   is the load-bearing safety property.
-3. The adaptive feedback loop — a deterministically planted
-   misestimate must trigger exactly one re-plan, and the recompiled
-   plan's estimates must converge so no further re-plans fire.
-4. Statistics hygiene — an aborted transaction must leave the
-   catalog's domain high-water marks and snapshots exactly as they
-   were (no estimate drift after rollback).
+   random delta streams, planned maintenance must match ground-truth
+   recomputation on the default backend (CI repeats the suite under
+   ``REPRO_BACKEND=columnar``).
+3. Plan stability — each ``(table, sign)`` pipeline is compiled once
+   and kept, whatever the delta sizes.
+4. Restrict-or-scan — :class:`~repro.plan.physical.NeighborRestrictNode`
+   decides from exact sizes at execution, and both answers join
+   identically.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-import pytest
 
 from repro.core.maintenance import SelfMaintainer
 from repro.engine.deltas import Delta, Transaction
-from repro.perf import PLANNER_QERROR
-from repro.plan.cost import (
-    DEFAULT_REPLAN_RATIO,
-    PlannerError,
-    SharedPlanCache,
-    q_error,
-    replan_ratio_from_env,
-    resolve_planner_name,
-)
-from repro.testing.faults import FaultInjector, InjectedFault
+from repro.engine.relation import Relation
+from repro.perf import PerfStats
+from repro.plan.cost import SharedPlanCache, resolve_planner_name
+from repro.plan.executor import ExecutionContext
+from repro.plan.physical import DeltaScanNode, NeighborRestrictNode
 from repro.warehouse.warehouse import Warehouse
 from repro.workloads.random_gen import random_scenario
 from repro.workloads.retail import (
@@ -45,7 +36,6 @@ from repro.workloads.streams import TransactionGenerator
 
 from tests.helpers import (
     assert_matches_recomputation,
-    assert_same_bag,
     paper_database,
 )
 
@@ -57,38 +47,13 @@ SETTINGS = dict(
 
 
 # ----------------------------------------------------------------------
-# Unit coverage: planner name, q-error, thresholds, shared-plan cache.
+# Unit coverage: planner name, shared-plan cache.
 # ----------------------------------------------------------------------
 
 
 class TestPlannerSpecs:
     def test_default_is_cost(self):
         assert resolve_planner_name() == "cost"
-
-    def test_replan_ratio_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAN_RATIO", raising=False)
-        assert replan_ratio_from_env() == DEFAULT_REPLAN_RATIO
-        monkeypatch.setenv("REPRO_REPLAN_RATIO", "2.5")
-        assert replan_ratio_from_env() == 2.5
-        for bad in ("0.5", "nan"):
-            monkeypatch.setenv("REPRO_REPLAN_RATIO", bad)
-            with pytest.raises(PlannerError, match=">= 1.0"):
-                replan_ratio_from_env()
-        monkeypatch.setenv("REPRO_REPLAN_RATIO", "lots")
-        with pytest.raises(PlannerError, match="not a number"):
-            replan_ratio_from_env()
-
-
-class TestQError:
-    def test_symmetric(self):
-        assert q_error(10, 40) == q_error(40, 10) == 4.0
-
-    def test_perfect_estimate_scores_one(self):
-        assert q_error(7, 7) == 1.0
-
-    def test_zero_safe(self):
-        assert q_error(0, 0) == 1.0
-        assert q_error(0, 5) == 5.0
 
 
 class TestSharedPlanCache:
@@ -109,8 +74,8 @@ class TestSharedPlanCache:
 
 
 # ----------------------------------------------------------------------
-# Differential safety: cost-planned maintenance matches recomputation
-# on every backend.
+# Differential safety: planned maintenance matches recomputation on
+# every backend.
 # ----------------------------------------------------------------------
 
 
@@ -127,10 +92,9 @@ def test_cost_matches_recomputation_on_memory(seed, steps):
 
 
 def test_evaluation_plans_are_planner_independent():
-    """Cost choices apply only to delta plans: after the maintenance
-    planner has compiled and re-planned against live statistics, the
-    view-evaluation plan (whose tests assert exact row order) still
-    reproduces the eager evaluator row for row."""
+    """Maintenance compiles only delta plans: after the maintainer has
+    run transactions, the view-evaluation plan (whose tests assert exact
+    row order) still reproduces the eager evaluator row for row."""
     scenario = random_scenario(4242)
     maintainer = SelfMaintainer(scenario.view, scenario.database)
     for __ in range(3):
@@ -141,168 +105,118 @@ def test_evaluation_plans_are_planner_independent():
 
 
 # ----------------------------------------------------------------------
-# The adaptive feedback loop.
+# Plan stability: one compile per delta shape.
 # ----------------------------------------------------------------------
 
 
-def _sale_insert(sale_id):
+def _sale_inserts(first_id, count):
+    """``count`` sale rows spread over every time and product (including
+    the 1996 day the view filters out), so deltas hit and miss the
+    auxiliary views."""
     return Transaction.of(
-        Delta("sale", inserted=((sale_id, 1, 1, 1, 10),))
+        Delta(
+            "sale",
+            inserted=tuple(
+                (first_id + i, 1 + i % 4, 1 + i % 3, 1, 10 + i % 7)
+                for i in range(count)
+            ),
+        )
     )
 
 
-class TestAdaptiveReplanning:
-    def make_maintainer(self):
-        database = paper_database()
-        view = product_sales_view(1997)
-        return database, SelfMaintainer(view, database)
-
-    def warm(self, database, maintainer, count=3, start=500):
-        """Apply single-row sale inserts until the feedback loop has
-        settled (the initial DEFAULT_DELTA_ROWS guess itself re-plans)."""
-        for offset in range(count):
-            tx = _sale_insert(start + offset)
-            database.apply(tx)
-            maintainer.apply(tx)
-
-    def test_forced_misestimate_triggers_one_replan(self):
-        database, maintainer = self.make_maintainer()
-        self.warm(database, maintainer)
-        before = maintainer.perf.counters["replans"]
-
-        # Plant a wildly wrong estimate for the (sale, +1) shape; the
-        # next single-row insert observes q-error 50000 >> the ratio.
-        maintainer.set_estimate_hint("sale", +1, local_rows=50_000.0)
-        tx = _sale_insert(600)
+def test_delta_plans_compile_once_whatever_the_delta_size():
+    """A 1-row, a 512-row, then a 1-row insert all run on the one
+    ``(sale, +1)`` pipeline compiled for the first: sizes are read at
+    execution, so nothing is ever re-planned."""
+    database = paper_database()
+    maintainer = SelfMaintainer(product_sales_view(1997), database)
+    plans = None
+    next_id = 1000
+    for count in (1, 512, 1):
+        tx = _sale_inserts(next_id, count)
+        next_id += count
         database.apply(tx)
         maintainer.apply(tx)
-        assert maintainer.perf.counters["replans"] == before + 1
+        if plans is None:
+            plans = maintainer.delta_plans("sale", 1)
+        assert maintainer.delta_plans("sale", 1) is plans
+        assert_matches_recomputation(maintainer, database, f"rows={count}")
+    # The one pipeline's statistics account for every transaction.
+    records = maintainer.runtime_stats()["+sale"]
+    scans = [r for r in records if r["label"].startswith("Δscan")]
+    assert scans and scans[0]["executions"] == 3
 
-        # The re-plan recorded the observation: the recompiled plan
-        # estimates one row, so further single-row inserts converge
-        # (q-error 1.0) and never re-plan again.
-        after = maintainer.perf.counters["replans"]
-        for sale_id in (601, 602, 603):
-            tx = _sale_insert(sale_id)
-            database.apply(tx)
-            maintainer.apply(tx)
-        assert maintainer.perf.counters["replans"] == after
-        plans = maintainer.delta_plans("sale", +1)
-        assert plans.stage_estimates()["local"] == 1.0
 
-        # Correctness is untouched throughout.
-        assert_same_bag(
-            maintainer.current_view(),
-            product_sales_view(1997).evaluate_eager(database),
-        )
+# ----------------------------------------------------------------------
+# Restrict-or-scan: decided by NeighborRestrictNode from exact sizes.
+# ----------------------------------------------------------------------
 
-    def test_qerror_histogram_observes_every_checked_stage(self):
-        database, maintainer = self.make_maintainer()
-        self.warm(database, maintainer, count=2)
-        summary = maintainer.perf.histogram_summary(PLANNER_QERROR)
-        assert summary["count"] > 0
 
-    def test_replan_emits_trace_event(self):
-        from repro.obs.trace import Tracer
+def _restrict_time(maintainer, sale_rows):
+    """Run one ``restrict[time by time.id]`` node over ``sale_rows`` as
+    a +sale delta; returns (output rows, X_time rows, index probes)."""
+    sale_schema = maintainer._tables["sale"].schema
+    x_time = maintainer.aux_relation("time")
+    node = NeighborRestrictNode(
+        DeltaScanNode("sale", 1),
+        "time",
+        sale_schema.index_of("sale.timeid"),
+        "time.id",
+        x_time.schema,
+    )
+    perf = PerfStats()
+    ctx = ExecutionContext(
+        providers=maintainer._materializations,
+        perf=perf,
+        deltas={("sale", 1): Relation(sale_schema, sale_rows, validate=False)},
+    )
+    output = node.run(ctx)
+    return output.rows, x_time.rows, perf.counters["index_probes"]
 
+
+def _by_hand(x_time_rows, sale_rows):
+    """The restriction of ``X_time`` to the rows joining ``sale_rows``."""
+    time_ids = {row[1] for row in sale_rows}
+    return sorted(row for row in x_time_rows if row[0] in time_ids)
+
+
+class TestNeighborRestriction:
+    def test_small_input_restricts_and_large_input_scans(self):
         database = paper_database()
-        tracer = Tracer(sample_every=1)
         maintainer = SelfMaintainer(
-            product_sales_view(1997), database, tracer=tracer
+            product_sales_view(1997), database, backend="memory"
         )
-        tx = _sale_insert(700)
-        database.apply(tx)
-        maintainer.apply(tx)  # first compile guesses 32 rows, sees 1
-        spans = [
-            span
-            for trace in tracer.traces
-            for span in trace.spans
-            if span.name == "replan"
-        ]
-        assert spans, "expected a replan trace event on the misestimate"
-        assert spans[0].attrs["table"] == "sale"
+        x_size = len(maintainer.aux_relation("time"))
 
-    def test_runtime_stats_survive_a_replan(self):
-        """Observed per-node statistics carry over from a retired plan
-        onto its recompiled replacement."""
-        database, maintainer = self.make_maintainer()
-        self.warm(database, maintainer, count=4)
-        stats = maintainer.runtime_stats()
-        records = stats["+sale"]
-        total_execs = sum(r["executions"] for r in records)
-        assert total_execs > 0
-        # Every warm-up transaction is accounted for on the delta scan,
-        # replans notwithstanding.
-        delta_scans = [r for r in records if r["label"].startswith("Δscan")]
-        assert delta_scans and delta_scans[0]["executions"] == 4
+        # Fewer input rows than X_time: the node probes the hash index.
+        few = [(2000, 2, 1, 1, 10)]
+        assert len(few) < x_size
+        output, x_time, probes = _restrict_time(maintainer, few)
+        assert sorted(output) == _by_hand(x_time, few)
+        assert len(output) == 1 and probes == 1
 
+        # At least |X_time| input rows, over every time id (the 1996 one
+        # included): the node passes the view through whole, with no
+        # probe, and that is exactly the restriction.
+        many = [(2001 + i, 1 + i % 4, 1, 1, 10) for i in range(x_size + 1)]
+        output, x_time, probes = _restrict_time(maintainer, many)
+        assert sorted(output) == _by_hand(x_time, many) == sorted(x_time)
+        assert probes == 0
 
-# ----------------------------------------------------------------------
-# Statistics hygiene: rollback leaves no estimate drift.
-# ----------------------------------------------------------------------
-
-
-class TestRollbackStatsHygiene:
-    @pytest.mark.parametrize(
-        "phase", ["local-reduce", "join-reduce", "aggregate-fold", "aux-apply"]
-    )
-    def test_aborted_transaction_restores_domains(self, phase):
+    def test_columnar_tracks_recomputation_across_both_branches(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
         database = paper_database()
         maintainer = SelfMaintainer(product_sales_view(1997), database)
-        # Warm one transaction so plans exist and domains are populated.
-        tx = _sale_insert(900)
-        database.apply(tx)
-        maintainer.apply(tx)
-        before_domains = maintainer.stats_catalog.domain_snapshot()
-        before_aux = {
-            table: len(relation)
-            for table, relation in maintainer.aux_relations().items()
-        }
-
-        injector = FaultInjector(maintainer)
-        injector.arm(phase)
-        failing = Transaction.of(
-            Delta(
-                "sale",
-                inserted=tuple(
-                    (910 + i, 1 + (i % 3), 1 + (i % 2), 1, 10 + i)
-                    for i in range(8)
-                ),
-            )
-        )
-        with pytest.raises(InjectedFault):
-            maintainer.apply(failing)
-        injector.uninstall()
-
-        assert maintainer.stats_catalog.domain_snapshot() == before_domains, (
-            f"domain high-water marks drifted after rollback in {phase}"
-        )
-        catalog = maintainer.stats_catalog
-        for table, rows in before_aux.items():
-            assert catalog.table_rows(table) == rows, (
-                f"cardinality estimate for {table} stale after rollback"
-            )
-
-    def test_first_transaction_abort_restores_empty_catalog(self):
-        """The plan compile happens *inside* the first transaction, so
-        its domain writes must be undone with everything else."""
-        database = paper_database()
-        maintainer = SelfMaintainer(product_sales_view(1997), database)
-        assert maintainer.stats_catalog.domain_snapshot() == {}
-        injector = FaultInjector(maintainer)
-        injector.arm("aggregate-fold")
-        with pytest.raises(InjectedFault):
-            maintainer.apply(_sale_insert(950))
-        injector.uninstall()
-        assert maintainer.stats_catalog.domain_snapshot() == {}
-        # ... and the maintainer still works afterwards.
-        tx = _sale_insert(951)
-        database.apply(tx)
-        maintainer.apply(tx)
-        assert_same_bag(
-            maintainer.current_view(),
-            product_sales_view(1997).evaluate_eager(database),
-        )
+        assert maintainer.backend.name == "columnar"
+        next_id = 3000
+        for count in (1, 64, 2):
+            tx = _sale_inserts(next_id, count)
+            next_id += count
+            database.apply(tx)
+            maintainer.apply(tx)
+        assert_matches_recomputation(maintainer, database, "columnar")
 
 
 # ----------------------------------------------------------------------
